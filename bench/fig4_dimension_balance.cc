@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
     auto res = rpq::core::TrainRpq(b.base, graph, p.rpq);
 
     auto before = ChunkEnergies(b.base, nullptr, p.rpq.m);
-    auto after = ChunkEnergies(b.base, &res.quantizer->rotation(), p.rpq.m);
+    const rpq::linalg::Matrix rotation = res.quantizer->rotation();
+    auto after = ChunkEnergies(b.base, &rotation, p.rpq.m);
 
     std::printf("[%s] share of total variance per sub-vector (M=%zu)\n", name,
                 p.rpq.m);

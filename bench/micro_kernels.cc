@@ -3,7 +3,7 @@
 // exponential, differentiable-quantizer forward pass, and beam search.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
+#include <memory>
 
 #include "common/distance.h"
 #include "common/rng.h"
@@ -65,21 +65,71 @@ void BM_SquaredL2Scalar(benchmark::State& state) {
 }
 BENCHMARK(BM_SquaredL2Scalar)->Arg(96)->Arg(128)->Arg(960);
 
-void BM_AdcTableBuild(benchmark::State& state) {
-  Dataset d = synthetic::MakeSiftLike(1500, 3);
+// A random dim x dim orthonormal rotation, exp of a skew-symmetric matrix.
+linalg::Matrix RandomRotation(size_t dim) {
+  Rng rng(11);
+  linalg::Matrix g(dim, dim);
+  for (size_t i = 0; i < dim * dim; ++i) g.data()[i] = 0.1f * rng.Gaussian();
+  return linalg::MatrixExp(linalg::SkewPart(g));
+}
+
+// Table-build model for args {m, K, rotated}: plain PQ, or the same
+// codebook behind a random rotation — the shape RPQ and OPQ deploy as.
+// {64, 256, 1} is the mem_rpq64 model (sub-dim 2 at 128 dims).
+std::unique_ptr<quant::PqQuantizer> TableBuildModel(const Dataset& d,
+                                                    benchmark::State& state) {
   quant::PqOptions opt;
-  opt.m = 16;
-  opt.k = static_cast<size_t>(state.range(0));
+  opt.m = static_cast<size_t>(state.range(0));
+  opt.k = static_cast<size_t>(state.range(1));
   opt.kmeans_iters = 4;
   auto pq = quant::PqQuantizer::Train(d, opt);
+  if (state.range(2) == 0) return pq;
+  return std::make_unique<quant::PqQuantizer>(pq->codebook(),
+                                              RandomRotation(d.dim()));
+}
+
+void TableBuildArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"m", "k", "rot"});
+  b->Args({16, 64, 0})->Args({16, 256, 0})->Args({64, 256, 1});
+}
+
+void BM_AdcTableBuild(benchmark::State& state) {
+  Dataset d = synthetic::MakeSiftLike(1500, 3);
+  auto pq = TableBuildModel(d, state);
   std::vector<float> table(pq->num_chunks() * pq->num_centroids());
+  state.SetLabel(simd::ActiveKernelName());
   size_t qi = 0;
   for (auto _ : state) {
     pq->BuildLookupTable(d[qi % d.size()], table.data());
+    benchmark::DoNotOptimize(table.data());
+    benchmark::ClobberMemory();
     ++qi;
   }
 }
-BENCHMARK(BM_AdcTableBuild)->Arg(64)->Arg(256);
+BENCHMARK(BM_AdcTableBuild)->Apply(TableBuildArgs);
+
+// The query rotation on its own at D = 128: arg 0 is the row-dot form
+// y_i = <R_i, x> (linalg::MatVec, one serial add chain per row), arg 1 is
+// PqQuantizer::Rotate, column axpys over the stored R^T that the compiler
+// vectorizes. Both sum each output in the same order (bit-identical).
+void BM_QueryRotation(benchmark::State& state) {
+  Dataset d = synthetic::MakeSiftLike(256, 3);
+  const linalg::Matrix r = RandomRotation(d.dim());
+  quant::PqQuantizer pq(quant::Codebook(d.dim() / 2, 2, 2), r);
+  std::vector<float> out(d.dim());
+  size_t qi = 0;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      linalg::MatVec(r, d[qi % d.size()], out.data());
+    } else {
+      pq.Rotate(d[qi % d.size()], out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    ++qi;
+  }
+}
+BENCHMARK(BM_QueryRotation)->Arg(0)->Arg(1);
 
 void BM_AdcScan(benchmark::State& state) {
   Dataset d = synthetic::MakeSiftLike(2000, 5);
@@ -253,31 +303,28 @@ BENCHMARK(BM_IvfResidualLutBuild);
 
 void BM_AdcTableBuildScalar(benchmark::State& state) {
   Dataset d = synthetic::MakeSiftLike(1500, 3);
-  quant::PqOptions opt;
-  opt.m = 16;
-  opt.k = static_cast<size_t>(state.range(0));
-  opt.kmeans_iters = 4;
-  auto pq = quant::PqQuantizer::Train(d, opt);
+  auto pq = TableBuildModel(d, state);
   // Rebuild the table through the scalar reference kernels, mirroring
-  // BuildLookupTable's per-call work (including the rotation-buffer copy —
-  // plain PQ's rotation is the identity) so the two benches compare
-  // like-for-like.
+  // BuildLookupTable's per-call work (the same Rotate, a copy for plain PQ)
+  // so the two benches differ only in the L2ToMany kernel.
   const auto& ops = simd::ScalarOps();
-  size_t sub = d.dim() / opt.m;
-  std::vector<float> table(pq->num_chunks() * pq->num_centroids());
+  const size_t m = pq->num_chunks(), k = pq->num_centroids();
+  const size_t sub = d.dim() / m;
+  std::vector<float> table(m * k);
   size_t qi = 0;
   for (auto _ : state) {
     std::vector<float> rot(d.dim());
-    std::memcpy(rot.data(), d[qi % d.size()], d.dim() * sizeof(float));
-    for (size_t j = 0; j < opt.m; ++j) {
-      ops.l2_to_many(rot.data() + j * sub, pq->codebook().Chunk(j), opt.k, sub,
-                     table.data() + j * opt.k);
+    pq->Rotate(d[qi % d.size()], rot.data());
+    for (size_t j = 0; j < m; ++j) {
+      ops.l2_to_many(rot.data() + j * sub, pq->codebook().Chunk(j), k, sub,
+                     table.data() + j * k);
     }
     benchmark::DoNotOptimize(table.data());
+    benchmark::ClobberMemory();
     ++qi;
   }
 }
-BENCHMARK(BM_AdcTableBuildScalar)->Arg(64)->Arg(256);
+BENCHMARK(BM_AdcTableBuildScalar)->Apply(TableBuildArgs);
 
 void BM_KMeansIteration(benchmark::State& state) {
   Dataset d = synthetic::MakeSiftLike(2000, 7);

@@ -45,11 +45,11 @@ std::unique_ptr<PqQuantizer> PqQuantizer::Train(const Dataset& train,
 }
 
 PqQuantizer::PqQuantizer(Codebook codebook, std::optional<linalg::Matrix> rotation)
-    : dim_(codebook.dim()), codebook_(std::move(codebook)),
-      rotation_(std::move(rotation)) {
-  if (rotation_.has_value()) {
-    RPQ_CHECK_EQ(rotation_->rows(), dim_);
-    RPQ_CHECK_EQ(rotation_->cols(), dim_);
+    : dim_(codebook.dim()), codebook_(std::move(codebook)) {
+  if (rotation.has_value()) {
+    RPQ_CHECK_EQ(rotation->rows(), dim_);
+    RPQ_CHECK_EQ(rotation->cols(), dim_);
+    rotation_t_ = rotation->Transposed();
   }
 }
 
@@ -64,9 +64,14 @@ void PqQuantizer::set_split_model(std::unique_ptr<SplitPqModel> split) {
   split_ = std::move(split);
 }
 
+linalg::Matrix PqQuantizer::rotation() const {
+  RPQ_CHECK(rotation_t_.has_value());
+  return rotation_t_->Transposed();
+}
+
 void PqQuantizer::Rotate(const float* vec, float* out) const {
-  if (rotation_.has_value()) {
-    linalg::MatVec(*rotation_, vec, out);
+  if (rotation_t_.has_value()) {
+    linalg::MatVecTrans(*rotation_t_, vec, out);  // (R^T)^T x = R x
   } else {
     std::memcpy(out, vec, dim_ * sizeof(float));
   }
@@ -90,9 +95,9 @@ void PqQuantizer::Decode(const uint8_t* code, float* out) const {
     std::memcpy(rot.data() + j * sub_dim, codebook_.Word(j, code[j]),
                 sub_dim * sizeof(float));
   }
-  if (rotation_.has_value()) {
+  if (rotation_t_.has_value()) {
     // R is orthonormal: original = R^T * rotated.
-    linalg::MatVecTrans(*rotation_, rot.data(), out);
+    linalg::MatVec(*rotation_t_, rot.data(), out);
   } else {
     std::memcpy(out, rot.data(), dim_ * sizeof(float));
   }
@@ -112,7 +117,7 @@ void PqQuantizer::BuildLookupTable(const float* query, float* table) const {
 
 size_t PqQuantizer::ModelSizeBytes() const {
   size_t bytes = codebook_.num_floats() * sizeof(float);
-  if (rotation_.has_value()) bytes += dim_ * dim_ * sizeof(float);
+  if (rotation_t_.has_value()) bytes += dim_ * dim_ * sizeof(float);
   return bytes;
 }
 

@@ -61,12 +61,17 @@ class PqQuantizer : public VectorQuantizer {
   size_t ModelSizeBytes() const override;
 
   const Codebook& codebook() const { return codebook_; }
-  bool has_rotation() const { return rotation_.has_value(); }
-  const linalg::Matrix& rotation() const { return *rotation_; }
+  bool has_rotation() const { return rotation_t_.has_value(); }
+  /// R itself, rebuilt from the stored transpose: a copy, for cold callers
+  /// (serialization, training, tests). Requires has_rotation().
+  linalg::Matrix rotation() const;
 
   /// Maps an original-space vector into the quantized space (y = R x;
   /// identity copy for plain PQ). Public because split-table construction
   /// (quant/split.h) builds its per-level LUT rows from the rotated query.
+  /// Bit-identical to linalg::MatVec(R, vec): each output is summed in the
+  /// same order, as column axpys over R^T's rows that the compiler
+  /// vectorizes instead of one serial add chain per row of R.
   void Rotate(const float* vec, float* out) const;
 
   /// The split structure when this model came from TrainSplitPq; null for
@@ -81,8 +86,8 @@ class PqQuantizer : public VectorQuantizer {
  private:
   size_t dim_;
   Codebook codebook_;
-  std::optional<linalg::Matrix> rotation_;  // D x D orthonormal
-  std::unique_ptr<SplitPqModel> split_;     // K = 256 split regime, or null
+  std::optional<linalg::Matrix> rotation_t_;  // R^T; R is D x D orthonormal
+  std::unique_ptr<SplitPqModel> split_;       // K = 256 split regime, or null
 };
 
 /// Trains the M sub-codebooks by running k-means on each chunk of `rotated`

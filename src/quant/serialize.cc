@@ -71,7 +71,7 @@ Status SaveQuantizer(const PqQuantizer& q, const std::string& path) {
     return Status::IOError(path + ": codebook write failed");
   }
   if (has_rot != 0) {
-    const auto& r = q.rotation();
+    const linalg::Matrix r = q.rotation();
     if (!w.Write(r.data(), dim * size_t{dim} * sizeof(float))) {
       return Status::IOError(path + ": rotation write failed");
     }

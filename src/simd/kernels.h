@@ -25,7 +25,8 @@ struct KernelOps {
 
   /// out[i] = || q - base[i*d ..] ||^2 for i in [0, n). Fused row-block
   /// kernel used for ADC lookup-table construction and nearest-centroid
-  /// scans (base is n contiguous d-dim rows).
+  /// scans (base is n contiguous d-dim rows). For d <= 3 every backend
+  /// sums in the scalar reference's order, so results are bit-identical.
   void (*l2_to_many)(const float* q, const float* base, size_t n, size_t d,
                      float* out);
 

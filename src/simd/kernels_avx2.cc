@@ -66,41 +66,73 @@ float DotAvx2(const float* a, const float* b, size_t d) {
 
 float SquaredNormAvx2(const float* a, size_t d) { return DotAvx2(a, a, d); }
 
-// Cross-row kernel for the small sub-dims PQ table builds use (d in [4, 8]):
-// four masked row loads per iteration and one in-register 4-way
-// transpose-reduce (three hadds + one cross-lane add) instead of four
-// horizontal sums — the hsum was what made the per-row path lose to scalar.
+// In-register 4-way transpose-reduce of four rows' squared differences:
+// lane r of the result is ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) of row r,
+// three hadds + one cross-lane add instead of four horizontal sums — the
+// hsum was what made the per-row path lose to scalar. With lanes >= d zero,
+// that tree is the scalar reference's in-order sum for every d <= 3.
+inline __m128 ReduceRows4(__m256 s0, __m256 s1, __m256 s2, __m256 s3) {
+  __m256 t0 = _mm256_hadd_ps(s0, s1);
+  __m256 t1 = _mm256_hadd_ps(s2, s3);
+  __m256 t2 = _mm256_hadd_ps(t0, t1);  // [r0 r1 r2 r3 | r0' r1' r2' r3']
+  return _mm_add_ps(_mm256_castps256_ps128(t2), _mm256_extractf128_ps(t2, 1));
+}
+
+// Cross-row kernel for the small sub-dims PQ table builds use (d in [1, 8]):
+// four masked row loads per iteration and one ReduceRows4. The < 4-row tail
+// goes through the same tree with zero rows, so a row's sum never depends on
+// its position — bit-identical to the scalar reference for d <= 3.
 void L2ToManySmallDAvx2(const float* q, const float* base, size_t n, size_t d,
                         float* out) {
   alignas(32) int32_t mask_arr[8];
   for (size_t l = 0; l < 8; ++l) mask_arr[l] = l < d ? -1 : 0;
   const __m256i mask = _mm256_load_si256(reinterpret_cast<__m256i*>(mask_arr));
   const __m256 qv = _mm256_maskload_ps(q, mask);
+  auto row_sq = [&](size_t i) {
+    __m256 diff = _mm256_sub_ps(_mm256_maskload_ps(base + i * d, mask), qv);
+    return _mm256_mul_ps(diff, diff);
+  };
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    __m256 d0 = _mm256_sub_ps(_mm256_maskload_ps(base + i * d, mask), qv);
-    __m256 d1 = _mm256_sub_ps(_mm256_maskload_ps(base + (i + 1) * d, mask), qv);
-    __m256 d2 = _mm256_sub_ps(_mm256_maskload_ps(base + (i + 2) * d, mask), qv);
-    __m256 d3 = _mm256_sub_ps(_mm256_maskload_ps(base + (i + 3) * d, mask), qv);
-    __m256 t0 = _mm256_hadd_ps(_mm256_mul_ps(d0, d0), _mm256_mul_ps(d1, d1));
-    __m256 t1 = _mm256_hadd_ps(_mm256_mul_ps(d2, d2), _mm256_mul_ps(d3, d3));
-    __m256 t2 = _mm256_hadd_ps(t0, t1);  // [r0 r1 r2 r3 | r0' r1' r2' r3']
-    __m128 r = _mm_add_ps(_mm256_castps256_ps128(t2),
-                          _mm256_extractf128_ps(t2, 1));
-    _mm_storeu_ps(out + i, r);
+    _mm_storeu_ps(out + i,
+                  ReduceRows4(row_sq(i), row_sq(i + 1), row_sq(i + 2),
+                              row_sq(i + 3)));
   }
-  for (; i < n; ++i) {
-    __m256 diff = _mm256_sub_ps(_mm256_maskload_ps(base + i * d, mask), qv);
-    __m256 sq = _mm256_mul_ps(diff, diff);
-    out[i] = Hsum256(sq);
+  if (i < n) {
+    const size_t rest = n - i;
+    const __m256 zero = _mm256_setzero_ps();
+    alignas(16) float sums[4] = {};
+    _mm_store_ps(sums, ReduceRows4(row_sq(i), rest > 1 ? row_sq(i + 1) : zero,
+                                   rest > 2 ? row_sq(i + 2) : zero, zero));
+    for (size_t r = 0; r < rest; ++r) out[i + r] = sums[r];
   }
 }
 
+// Cross-centroid kernel for d = 2, the sub-dim of an m = 64 model over 128
+// dims. It reads the interleaved codebook [x0 y0 x1 y1 ...] as is: eight
+// centroids are two loads, and one hadd of their squared differences gives
+// each centroid's dx^2 + dy^2 — exactly the scalar reference's
+// (0 + dx^2) + dy^2. The hadd leaves 64-bit pairs in the order
+// [c0c1 c4c5 | c2c3 c6c7]; one lane permute restores centroid order.
+void L2ToManyD2Avx2(const float* q, const float* base, size_t n, float* out) {
+  const __m256 qv = _mm256_setr_ps(q[0], q[1], q[0], q[1], q[0], q[1], q[0],
+                                   q[1]);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const float* rows = base + 2 * i;
+    __m256 a = _mm256_sub_ps(_mm256_loadu_ps(rows), qv);
+    __m256 b = _mm256_sub_ps(_mm256_loadu_ps(rows + 8), qv);
+    __m256 h = _mm256_hadd_ps(_mm256_mul_ps(a, a), _mm256_mul_ps(b, b));
+    _mm256_storeu_ps(out + i, _mm256_castpd_ps(_mm256_permute4x64_pd(
+                                  _mm256_castps_pd(h), 0xD8)));
+  }
+  if (i < n) L2ToManySmallDAvx2(q, base + 2 * i, n - i, 2, out + i);
+}
+
 // Cross-row kernel for d in (8, 16): one full 8-float load plus one masked
-// load of the remaining d-8 lanes per row, then the same in-register 4-way
-// transpose-reduce as the small-d kernel — no per-row horizontal sum in the
-// hot loop. Closes the last L2ToMany dimension gap (sub-dims 9-15, e.g.
-// m = 10 chunks of a 128-dim space).
+// load of the remaining d-8 lanes per row, then ReduceRows4 — no per-row
+// horizontal sum in the hot loop. Covers sub-dims 9-15 (e.g. m = 10 chunks
+// of a 128-dim space).
 void L2ToManyMidDAvx2(const float* q, const float* base, size_t n, size_t d,
                       float* out) {
   alignas(32) int32_t mask_arr[8];
@@ -116,31 +148,26 @@ void L2ToManyMidDAvx2(const float* q, const float* base, size_t n, size_t d,
   };
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    __m256 t0 = _mm256_hadd_ps(row_sq(base + i * d), row_sq(base + (i + 1) * d));
-    __m256 t1 =
-        _mm256_hadd_ps(row_sq(base + (i + 2) * d), row_sq(base + (i + 3) * d));
-    __m256 t2 = _mm256_hadd_ps(t0, t1);
-    __m128 r = _mm_add_ps(_mm256_castps256_ps128(t2),
-                          _mm256_extractf128_ps(t2, 1));
-    _mm_storeu_ps(out + i, r);
+    _mm_storeu_ps(out + i, ReduceRows4(row_sq(base + i * d),
+                                       row_sq(base + (i + 1) * d),
+                                       row_sq(base + (i + 2) * d),
+                                       row_sq(base + (i + 3) * d)));
   }
   for (; i < n; ++i) out[i] = Hsum256(row_sq(base + i * d));
 }
 
 void L2ToManyAvx2(const float* q, const float* base, size_t n, size_t d,
                   float* out) {
-  if (d >= 4 && d <= 8) {
+  if (d == 2) {
+    L2ToManyD2Avx2(q, base, n, out);
+    return;
+  }
+  if (d <= 8) {
     L2ToManySmallDAvx2(q, base, n, d, out);
     return;
   }
-  if (d > 8 && d < 16) {
+  if (d < 16) {
     L2ToManyMidDAvx2(q, base, n, d, out);
-    return;
-  }
-  if (d < 4) {
-    // d in {1, 2, 3}: below the narrowest useful vector the unrolled scalar
-    // loop measures faster than masked-load gymnastics.
-    internal::ScalarKernels().l2_to_many(q, base, n, d, out);
     return;
   }
   for (size_t i = 0; i < n; ++i) {

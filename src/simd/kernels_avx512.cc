@@ -63,8 +63,9 @@ void L2ToManyAvx512(const float* q, const float* base, size_t n, size_t d,
                     float* out) {
   if (d < 16) {
     // Below one vector width the masked load + 16-lane reduce costs more
-    // than narrower code. The AVX2 set carries the cross-row kernel for the
-    // typical PQ sub-dims (4-8) and the unrolled scalar loop otherwise.
+    // than narrower code. The AVX2 set carries the cross-centroid kernel
+    // for d = 2 and the cross-row kernels for d 1-15, whose sums for
+    // d <= 3 are bit-identical to the scalar reference.
 #if defined(RPQ_HAVE_AVX2)
     internal::Avx2Kernels().l2_to_many(q, base, n, d, out);
 #else

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "common/distance.h"
+#include "common/rng.h"
 #include "data/synthetic.h"
+#include "linalg/matexp.h"
 #include "quant/adc.h"
 #include "quant/kmeans.h"
 #include "quant/opq.h"
 #include "quant/pq.h"
 #include "quant/split.h"
+#include "simd/simd.h"
 
 namespace rpq::quant {
 namespace {
@@ -236,6 +241,64 @@ TEST(OpqTest, DecodeInvertsRotation) {
     norm += SquaredNorm(d[i], d.dim());
   }
   EXPECT_LT(err, 0.5 * norm);
+}
+
+// The quantizer stores R transposed so Rotate can run as column axpys; every
+// query-time output must still be bit-identical to the textbook formulation
+// with R itself. Sub-dim 2 (m = 16 over 32 dims) is the shape an m = 64 RPQ
+// model serves at 128 dims, where L2ToMany promises scalar order on every
+// backend, so the whole table is pinned bit for bit.
+TEST(PqTest, TransposedRotationIsBitIdentical) {
+  const size_t dim = 32, m = 16, k = 256, sub = dim / m;
+  Rng rng(21);
+  linalg::Matrix g(dim, dim);
+  for (size_t i = 0; i < dim * dim; ++i) g.data()[i] = 0.3f * rng.Gaussian();
+  const linalg::Matrix r = linalg::MatrixExp(linalg::SkewPart(g));
+  Codebook book(m, k, sub);
+  for (size_t i = 0; i < book.num_floats(); ++i) {
+    book.data()[i] = rng.Gaussian();
+  }
+  PqQuantizer pq(book, r);
+
+  const linalg::Matrix back = pq.rotation();
+  ASSERT_EQ(back.rows(), dim);
+  ASSERT_EQ(back.cols(), dim);
+  for (size_t i = 0; i < dim * dim; ++i) {
+    EXPECT_EQ(back.data()[i], r.data()[i]) << "entry " << i;
+  }
+
+  Dataset d = TestData(8);
+  std::vector<float> got(dim), want(dim);
+  std::vector<float> table(m * k), want_table(m * k);
+  std::vector<uint8_t> code(m);
+  for (size_t v = 0; v < d.size(); ++v) {
+    pq.Rotate(d[v], got.data());
+    linalg::MatVec(r, d[v], want.data());
+    for (size_t i = 0; i < dim; ++i) {
+      EXPECT_EQ(got[i], want[i]) << "rotate v=" << v << " i=" << i;
+    }
+
+    pq.BuildLookupTable(d[v], table.data());
+    for (size_t j = 0; j < m; ++j) {
+      simd::ScalarOps().l2_to_many(want.data() + j * sub, book.Chunk(j), k,
+                                   sub, want_table.data() + j * k);
+    }
+    for (size_t i = 0; i < m * k; ++i) {
+      ASSERT_EQ(table[i], want_table[i]) << "lut v=" << v << " entry " << i;
+    }
+
+    for (auto& c : code) c = static_cast<uint8_t>(rng.UniformIndex(k));
+    pq.Decode(code.data(), got.data());
+    std::vector<float> words(dim);
+    for (size_t j = 0; j < m; ++j) {
+      std::copy(book.Word(j, code[j]), book.Word(j, code[j]) + sub,
+                words.begin() + j * sub);
+    }
+    linalg::MatVecTrans(r, words.data(), want.data());
+    for (size_t i = 0; i < dim; ++i) {
+      EXPECT_EQ(got[i], want[i]) << "decode v=" << v << " i=" << i;
+    }
+  }
 }
 
 TEST(ModelSizeTest, RotationAddsToModelSize) {

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "data/synthetic.h"
-#include "quant/adc.h"
 #include "quant/opq.h"
 #include "quant/serialize.h"
 
@@ -55,11 +55,11 @@ TEST(SerializeTest, RotatedQuantizerRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(loaded.value()->has_rotation());
   // ADC tables must agree bitwise (same rotation, same codebook).
-  AdcTable t1(*opq, d[0]);
-  AdcTable t2(*loaded.value(), d[0]);
-  std::vector<uint8_t> code(opq->code_size());
-  opq->Encode(d[5], code.data());
-  EXPECT_FLOAT_EQ(t1.Distance(code.data()), t2.Distance(code.data()));
+  const size_t entries = opq->num_chunks() * opq->num_centroids();
+  std::vector<float> t1(entries), t2(entries);
+  opq->BuildLookupTable(d[0], t1.data());
+  loaded.value()->BuildLookupTable(d[0], t2.data());
+  for (size_t i = 0; i < entries; ++i) EXPECT_EQ(t1[i], t2[i]) << "entry " << i;
   std::remove(path.c_str());
 }
 

@@ -1,8 +1,9 @@
 // Parity tests for the SIMD kernel subsystem: every dispatched kernel must
 // agree with the scalar reference across odd dimensions, unaligned pointers,
-// and batch remainders. The ADC kernels must agree bit-for-bit (they promise
-// scalar accumulation order); the float kernels get 1e-4 relative tolerance
-// because FMA/width changes the summation tree.
+// and batch remainders. The ADC kernels, and L2ToMany below sub-dim 4, must
+// agree bit-for-bit (they promise scalar accumulation order); the other float
+// kernels get 1e-4 relative tolerance because FMA/width changes the
+// summation tree.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -84,20 +85,31 @@ TEST(SimdKernelTest, UnalignedPointersMatchScalar) {
 
 TEST(SimdKernelTest, L2ToManyMatchesScalar) {
   Rng rng(5);
-  // 4-8 exercise the cross-row small-dim kernel, 9-15 the mid-dim cross-row
-  // kernel (two loads per row); the rest cover the scalar fallback (d < 4)
-  // and the wide per-row path.
-  for (size_t d : {size_t(1), size_t(3), size_t(4), size_t(5), size_t(6),
-                   size_t(7), size_t(8), size_t(9), size_t(10), size_t(11),
-                   size_t(12), size_t(13), size_t(14), size_t(15), size_t(16),
-                   size_t(96), size_t(128)}) {
-    for (size_t n : {size_t(1), size_t(3), size_t(17), size_t(64)}) {
+  // d = 2 takes the cross-centroid kernel (eight centroids per iteration),
+  // 1-8 the cross-row small-dim kernel, 9-15 the mid-dim cross-row kernel
+  // (two loads per row), and the rest the wide per-row path. The n values
+  // straddle the 8-wide and 4-wide bodies and their tails; 256 is a K = 256
+  // table chunk.
+  for (size_t d : {size_t(1), size_t(2), size_t(3), size_t(4), size_t(5),
+                   size_t(6), size_t(7), size_t(8), size_t(9), size_t(10),
+                   size_t(11), size_t(12), size_t(13), size_t(14), size_t(15),
+                   size_t(16), size_t(96), size_t(128)}) {
+    for (size_t n : {size_t(1), size_t(3), size_t(7), size_t(8), size_t(9),
+                     size_t(17), size_t(64), size_t(256)}) {
       auto q = RandomVec(d, &rng);
       auto base = RandomVec(n * d, &rng);
       std::vector<float> got(n), want(n);
       Ops().l2_to_many(q.data(), base.data(), n, d, got.data());
       ScalarOps().l2_to_many(q.data(), base.data(), n, d, want.data());
-      for (size_t i = 0; i < n; ++i) ExpectClose(got[i], want[i]);
+      for (size_t i = 0; i < n; ++i) {
+        if (d <= 3) {
+          // Below sub-dim 4 every backend promises the scalar summation
+          // order: (0 + dx^2) + dy^2 ..., bit for bit.
+          EXPECT_EQ(got[i], want[i]) << "d=" << d << " n=" << n << " i=" << i;
+        } else {
+          ExpectClose(got[i], want[i]);
+        }
+      }
     }
   }
 }
