@@ -104,6 +104,7 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
   // by exact distances from the fetched vectors, so routing precision only
   // moves hop counts.
   std::optional<quant::AdcTable> table;
+  std::optional<quant::AdcBatchOracle> adc;
   std::optional<quant::FastScanTable> ftable;
   std::optional<quant::FastScanNeighborOracle> fast;
   {
@@ -113,21 +114,20 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
       fast.emplace(*ftable, codes_.data(), code_size, *fastscan_);
     } else {
       table.emplace(quantizer_, query);
+      adc.emplace(quant::AdcBatchOracle{*table, codes_.data(), code_size});
     }
   }
 
-  // Same flat-beam hot loop as graph::BeamSearch (see detail::FlatBeam), now
-  // wave-structured: up to `io_width` best unexpanded entries are drained
-  // per iteration, their SSD reads overlap through AsyncIoContext, and the
-  // readahead prefetcher speculates on the next-best candidates while the
-  // wave is in flight. Exact-distance rerank still happens on the side.
+  // graph::BeamSearch's traversal, wave-structured: up to `io_width` best
+  // unexpanded entries are drained per iteration, their SSD reads overlap
+  // through AsyncIoContext, and the readahead prefetcher speculates on the
+  // next-best candidates while the wave is in flight. Each fetched block is
+  // expanded by the shared step (graph::detail::ExpandVertex) with the
+  // adjacency read from the device; only this wave driver is disk-specific.
+  // Exact-distance rerank happens on the side.
   graph::VisitedTable& visited = *graph::TlsVisitedTable(num_vertices_);
-  visited.NextEpoch();
   graph::detail::FlatBeam beam(beam_width);  // ascending by (est distance, id)
-  std::vector<uint32_t> cand_ids;
-  std::vector<float> cand_dists;
-  cand_ids.reserve(max_degree_);
-  cand_dists.reserve(max_degree_);
+  graph::detail::ExpandScratch scratch(max_degree_);
   // The shared refinement buffer, fed exact distances from fetched vectors:
   // the disk path refines DURING traversal (re-fetching blocks afterwards
   // would double the I/O), so no separate Refiner stage runs — the buffer's
@@ -135,18 +135,17 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
   // TopK it replaces.
   refine::CandidateBuffer rerank(k);
 
-  const float entry_dist =
-      fast.has_value()
-          ? (*fast)(entry_)
-          : table->Distance(codes_.data() +
-                            static_cast<size_t>(entry_) * code_size);
-  beam.Insert(entry_dist, entry_);
-  ++out.stats.dist_comps;
-  visited.MarkVisited(entry_);
+  if (fast.has_value()) {
+    graph::detail::SeedBeam(entry_, *fast, &beam, &visited, &out.stats);
+  } else {
+    graph::detail::SeedBeam(entry_, *adc, &beam, &visited, &out.stats);
+  }
 
   // Scores one fetched node block: exact rerank of the node itself (counted
   // as a distance computation, like the memory backends count their rerank)
-  // plus estimate-scored beam inserts for its adjacency.
+  // plus estimate-scored beam inserts for its adjacency. The FastScan path
+  // scores the whole adjacency from the packed in-memory blocks, which hold
+  // the same adjacency order as the on-disk lists.
   const auto process_block = [&](uint32_t v, const uint8_t* blk) {
     const float* vec = reinterpret_cast<const float*>(blk);
     uint32_t deg = 0;
@@ -158,49 +157,11 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
     ++out.stats.dist_comps;
 
     if (fast.has_value()) {
-      // Score the whole adjacency from the packed in-memory blocks (same
-      // adjacency order as the on-disk lists); distance-first pruning skips
-      // the visited table for candidates the beam could never keep (see the
-      // neighbor-block branch of graph::BeamSearch).
-      if (deg == 0) return;
-      cand_dists.resize(deg);
-      fast->ScoreNeighbors(v, nbrs, deg, cand_dists.data());
-      out.stats.dist_comps += deg;
-      float worst = beam.WorstDist();
-      for (uint32_t idx = 0; idx < deg; ++idx) {
-        if (cand_dists[idx] > worst) continue;
-        uint32_t u = nbrs[idx];
-        if (visited.Visited(u)) {
-          ++out.stats.visited_hits;
-          continue;
-        }
-        visited.MarkVisited(u);
-        beam.Insert(cand_dists[idx], u);
-        worst = beam.WorstDist();
-      }
-      return;
-    }
-
-    quant::AdcBatchOracle adc{*table, codes_.data(), code_size};
-    cand_ids.clear();
-    for (uint32_t idx = 0; idx < deg; ++idx) {
-      if (idx + graph::kVisitedPrefetchDistance < deg) {
-        visited.Prefetch(nbrs[idx + graph::kVisitedPrefetchDistance]);
-      }
-      uint32_t u = nbrs[idx];
-      if (visited.Visited(u)) {
-        ++out.stats.visited_hits;
-        continue;
-      }
-      visited.MarkVisited(u);
-      cand_ids.push_back(u);
-    }
-    if (cand_ids.empty()) return;
-    cand_dists.resize(cand_ids.size());
-    adc(cand_ids.data(), cand_ids.size(), cand_dists.data());
-    out.stats.dist_comps += cand_ids.size();
-    for (size_t i = 0; i < cand_ids.size(); ++i) {
-      beam.Insert(cand_dists[i], cand_ids[i]);
+      graph::detail::ExpandVertex(v, nbrs, deg, *fast, &beam, &visited,
+                                  &scratch, &out.stats);
+    } else {
+      graph::detail::ExpandVertex(v, nbrs, deg, *adc, &beam, &visited,
+                                  &scratch, &out.stats);
     }
   };
 

@@ -1,14 +1,17 @@
 // Generic best-first beam search over a proximity graph (paper §3.1).
-// The distance oracle is a template parameter so the same routine serves
-// exact search, in-memory ADC search, and the hybrid DiskANN-style search.
+// The distance oracle is a template parameter, so one routine serves exact
+// search, in-memory ADC and FastScan search, and HNSW construction.
 //
 // Hot-loop layout: the beam is one flat sorted array of {dist, id, expanded}
 // entries (a single memmove per insert instead of a vector<Neighbor> plus a
-// bit-packed vector<bool>), a cursor tracks the next unexpanded entry instead
-// of rescanning the beam, and each expansion gathers its unvisited neighbors
-// first so a batch-capable oracle (e.g. quant::AdcBatchOracle) can score them
-// in one vectorized call. Results are identical to the straightforward
-// insert-one-at-a-time formulation; tests/beam_regression_test.cc pins that.
+// bit-packed vector<bool>), and a cursor tracks the next unexpanded entry
+// instead of rescanning the beam. Each expansion is one call of
+// detail::ExpandVertex, which gathers the unvisited neighbors first so a
+// batch-capable oracle (e.g. quant::AdcBatchOracle) can score them in one
+// vectorized call. That step is the only copy: the hybrid
+// disk::DiskIndex::Search drives it from its I/O waves. Results are
+// identical to the straightforward insert-one-at-a-time formulation;
+// tests/beam_regression_test.cc pins that.
 #pragma once
 
 #include <algorithm>
@@ -41,9 +44,8 @@ struct BeamSearchOptions {
   Deadline deadline;
 };
 
-/// How many ids ahead the neighbor-gather loops prefetch the visited-table
-/// stamp. One constant shared by graph::BeamSearch and the hybrid
-/// disk::DiskIndex::Search so the two hot loops cannot drift.
+/// How many ids ahead the neighbor-gather loop of detail::ExpandVertex
+/// prefetches the visited-table stamp.
 inline constexpr size_t kVisitedPrefetchDistance = 4;
 
 /// Optional per-step observer: receives the ranked global candidate set
@@ -101,9 +103,9 @@ inline bool EntryBefore(const BeamEntry& e, float dist, uint32_t id) {
 }
 
 /// The flat-beam candidate set: one sorted POD array plus a cursor tracking
-/// the next unexpanded entry. Shared by graph::BeamSearch and the hybrid
-/// disk::DiskIndex::Search so the invariant lives (and is regression-tested)
-/// in exactly one place.
+/// the next unexpanded entry. graph::BeamSearch and the hybrid
+/// disk::DiskIndex::Search both keep their beam in one, so the invariant
+/// lives (and is regression-tested) in exactly one place.
 class FlatBeam {
  public:
   static constexpr size_t kNone = static_cast<size_t>(-1);
@@ -158,6 +160,108 @@ class FlatBeam {
   size_t cursor_ = 0;
 };
 
+/// Per-query buffers of ExpandVertex, reused across expansions. They are
+/// grown to the degree before the gather loop, which then writes through a
+/// raw pointer: a push_back there would put a reallocation call inside the
+/// loop, and the compiler spills the loop's registers around it.
+struct ExpandScratch {
+  std::vector<uint32_t> ids;  ///< unvisited neighbors of one expansion
+  std::vector<float> dists;   ///< their estimates
+
+  explicit ExpandScratch(size_t degree) : ids(degree), dists(degree) {}
+
+  /// Grows both buffers to hold `degree` entries; never shrinks.
+  void Fit(size_t degree) {
+    if (ids.size() < degree) {
+      ids.resize(degree);
+      dists.resize(degree);
+    }
+  }
+};
+
+/// Starts a traversal at `entry`: opens a new visited epoch, scores the
+/// entry through either oracle form, seeds the beam with it and marks it
+/// visited.
+template <typename DistFn>
+void SeedBeam(uint32_t entry, DistFn& dist, FlatBeam* beam,
+              VisitedTable* visited, SearchStats* stats) {
+  visited->NextEpoch();
+  float d0;
+  if constexpr (std::is_invocable_r_v<float, DistFn&, uint32_t>) {
+    d0 = dist(entry);
+  } else {
+    dist(&entry, 1, &d0);
+  }
+  if (stats != nullptr) ++stats->dist_comps;
+  beam->Insert(d0, entry);
+  visited->MarkVisited(entry);
+}
+
+/// The expansion step, the one copy every graph traversal runs: scores the
+/// adjacency nbrs[0, deg) of the expanded vertex v and inserts the unvisited
+/// candidates into the beam. graph::BeamSearch calls it once per hop with
+/// v's in-memory adjacency; the hybrid disk::DiskIndex::Search calls it once
+/// per fetched node block with the adjacency read from the device.
+template <typename DistFn>
+void ExpandVertex(uint32_t v, const uint32_t* nbrs, size_t deg, DistFn& dist,
+                  FlatBeam* beam, VisitedTable* visited,
+                  ExpandScratch* scratch, SearchStats* stats) {
+  if (deg == 0) return;
+  scratch->Fit(deg);
+  float* cand_dists = scratch->dists.data();
+  if constexpr (kHasNeighborBlockScore<DistFn>) {
+    // Neighbor-block oracle: score the WHOLE adjacency in one pass (the
+    // packed block scores 32 codes per shuffle, so re-scoring visited
+    // entries is cheaper than gathering the unvisited subset), then filter
+    // on the way into the beam. Distance-first pruning: a candidate worse
+    // than the beam's current worst can never be kept (the bound only
+    // tightens), so it is dropped on a register compare without spending a
+    // scattered visited-stamp load/store on it. Skipping its visited mark
+    // is safe for the same reason — any later encounter prunes again.
+    dist.ScoreNeighbors(v, nbrs, deg, cand_dists);
+    if (stats != nullptr) stats->dist_comps += deg;
+    float worst = beam->WorstDist();
+    for (size_t i = 0; i < deg; ++i) {
+      if (cand_dists[i] > worst) continue;
+      const uint32_t u = nbrs[i];
+      if (visited->Visited(u)) {
+        if (stats != nullptr) ++stats->visited_hits;
+        continue;
+      }
+      visited->MarkVisited(u);
+      beam->Insert(cand_dists[i], u);
+      worst = beam->WorstDist();
+    }
+  } else {
+    // Gather the unvisited neighbors first (prefetching visited stamps a
+    // few ids ahead), then score them through the oracle — batched when it
+    // can.
+    uint32_t* cand_ids = scratch->ids.data();
+    size_t n = 0;
+    for (size_t i = 0; i < deg; ++i) {
+      if (i + kVisitedPrefetchDistance < deg) {
+        visited->Prefetch(nbrs[i + kVisitedPrefetchDistance]);
+      }
+      const uint32_t u = nbrs[i];
+      if (visited->Visited(u)) {
+        if (stats != nullptr) ++stats->visited_hits;
+        continue;
+      }
+      visited->MarkVisited(u);
+      cand_ids[n++] = u;
+    }
+    if (n == 0) return;
+
+    if constexpr (kHasBatchScore<DistFn>) {
+      dist(cand_ids, n, cand_dists);
+    } else {
+      for (size_t i = 0; i < n; ++i) cand_dists[i] = dist(cand_ids[i]);
+    }
+    if (stats != nullptr) stats->dist_comps += n;
+    for (size_t i = 0; i < n; ++i) beam->Insert(cand_dists[i], cand_ids[i]);
+  }
+}
+
 }  // namespace detail
 
 /// Runs beam search from `entry`; `dist(v)` returns the (estimated) distance
@@ -169,25 +273,10 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& g, uint32_t entry,
                                  DistFn&& dist, const BeamSearchOptions& opt,
                                  VisitedTable* visited, SearchStats* stats = nullptr,
                                  const StepObserver& observer = nullptr) {
-  const size_t beam_width = std::max(opt.beam_width, opt.k);
-  visited->NextEpoch();
-
-  detail::FlatBeam beam(beam_width);
-  std::vector<uint32_t> cand_ids;    // unvisited neighbors of one expansion
-  std::vector<float> cand_dists;
-  cand_ids.reserve(64);
-  cand_dists.reserve(64);
+  detail::FlatBeam beam(std::max(opt.beam_width, opt.k));
+  detail::ExpandScratch scratch(64);
   std::vector<Neighbor> observer_view;
-
-  float d0;
-  if constexpr (std::is_invocable_r_v<float, DistFn&, uint32_t>) {
-    d0 = dist(entry);
-  } else {
-    dist(&entry, 1, &d0);
-  }
-  if (stats != nullptr) ++stats->dist_comps;
-  beam.Insert(d0, entry);
-  visited->MarkVisited(entry);
+  detail::SeedBeam(entry, dist, &beam, visited, stats);
 
   for (;;) {
     const size_t next = beam.NextUnexpanded();
@@ -212,71 +301,14 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& g, uint32_t entry,
     if (stats != nullptr) ++stats->hops;
 
     const std::vector<uint32_t>& nbrs = g.Neighbors(v);
-    const size_t deg = nbrs.size();
-    if constexpr (detail::kHasNeighborBlockScore<DistFn>) {
-      // Neighbor-block oracle: score the WHOLE adjacency in one pass (the
-      // packed block scores 32 codes per shuffle, so re-scoring visited
-      // entries is cheaper than gathering the unvisited subset), then filter
-      // on the way into the beam. Distance-first pruning: a candidate worse
-      // than the beam's current worst can never be kept (the bound only
-      // tightens), so it is dropped on a register compare without spending a
-      // scattered visited-stamp load/store on it. Skipping its visited mark
-      // is safe for the same reason — any later encounter prunes again.
-      if (deg == 0) continue;
-      cand_dists.resize(deg);
-      dist.ScoreNeighbors(v, nbrs.data(), deg, cand_dists.data());
-      if (stats != nullptr) stats->dist_comps += deg;
-      float worst = beam.WorstDist();
-      for (size_t i = 0; i < deg; ++i) {
-        if (cand_dists[i] > worst) continue;
-        uint32_t u = nbrs[i];
-        if (visited->Visited(u)) {
-          if (stats != nullptr) ++stats->visited_hits;
-          continue;
-        }
-        visited->MarkVisited(u);
-        beam.Insert(cand_dists[i], u);
-        worst = beam.WorstDist();
-      }
-      // Kick off the next expansion's block fetch while this iteration's
-      // bookkeeping (observer, stats, cursor walk) still runs.
-      if constexpr (detail::kHasPrefetchNeighbors<DistFn>) {
-        const size_t peek = beam.NextUnexpanded();
-        if (peek != detail::FlatBeam::kNone) {
-          dist.PrefetchNeighbors(beam.entries()[peek].id);
-        }
-      }
-    } else {
-      // Gather the unvisited neighbors first (prefetching visited stamps a
-      // few ids ahead), then score them through the oracle — batched when it
-      // can.
-      cand_ids.clear();
-      for (size_t i = 0; i < deg; ++i) {
-        if (i + kVisitedPrefetchDistance < deg) {
-          visited->Prefetch(nbrs[i + kVisitedPrefetchDistance]);
-        }
-        uint32_t u = nbrs[i];
-        if (visited->Visited(u)) {
-          if (stats != nullptr) ++stats->visited_hits;
-          continue;
-        }
-        visited->MarkVisited(u);
-        cand_ids.push_back(u);
-      }
-      if (cand_ids.empty()) continue;
-
-      cand_dists.resize(cand_ids.size());
-      if constexpr (detail::kHasBatchScore<DistFn>) {
-        dist(cand_ids.data(), cand_ids.size(), cand_dists.data());
-      } else {
-        for (size_t i = 0; i < cand_ids.size(); ++i) {
-          cand_dists[i] = dist(cand_ids[i]);
-        }
-      }
-      if (stats != nullptr) stats->dist_comps += cand_ids.size();
-
-      for (size_t i = 0; i < cand_ids.size(); ++i) {
-        beam.Insert(cand_dists[i], cand_ids[i]);
+    detail::ExpandVertex(v, nbrs.data(), nbrs.size(), dist, &beam, visited,
+                         &scratch, stats);
+    // Kick off the next expansion's block fetch while this iteration's
+    // bookkeeping (observer, stats, cursor walk) still runs.
+    if constexpr (detail::kHasPrefetchNeighbors<DistFn>) {
+      const size_t peek = beam.NextUnexpanded();
+      if (peek != detail::FlatBeam::kNone) {
+        dist.PrefetchNeighbors(beam.entries()[peek].id);
       }
     }
   }
@@ -290,7 +322,8 @@ std::vector<Neighbor> BeamSearch(const ProximityGraph& g, uint32_t entry,
   return results;
 }
 
-/// Greedy 1-best descent (used to locate entry points during construction).
+/// Greedy 1-best descent: moves to the best neighbor until none improves.
+/// HnswIndex descends its upper levels with it to find the next entry point.
 template <typename DistFn>
 uint32_t GreedyDescent(const ProximityGraph& g, uint32_t entry, DistFn&& dist) {
   uint32_t cur = entry;

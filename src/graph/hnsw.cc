@@ -5,16 +5,25 @@
 
 #include "common/distance.h"
 #include "common/logging.h"
+#include "graph/beam_search.h"
 
 namespace rpq::graph {
+namespace {
+
+// Exact squared-L2 oracle for graph::BeamSearch and graph::GreedyDescent.
+auto ExactL2(const Dataset& base, const float* query) {
+  return [&base, query](uint32_t v) {
+    return SquaredL2(query, base[v], base.dim());
+  };
+}
+
+}  // namespace
 
 HnswIndex::HnswIndex(const Dataset& base, const HnswOptions& options)
     : base_(base),
       opt_(options),
       level_mult_(1.0 / std::log(static_cast<double>(options.m))),
-      rng_(options.seed),
-      node_level_(base.size(), 0),
-      visited_(base.size()) {}
+      rng_(options.seed) {}
 
 std::unique_ptr<HnswIndex> HnswIndex::Build(const Dataset& base,
                                             const HnswOptions& options) {
@@ -22,48 +31,6 @@ std::unique_ptr<HnswIndex> HnswIndex::Build(const Dataset& base,
   auto index = std::unique_ptr<HnswIndex>(new HnswIndex(base, options));
   for (uint32_t i = 0; i < base.size(); ++i) index->Insert(i);
   return index;
-}
-
-std::vector<Neighbor> HnswIndex::SearchLayer(const float* query, uint32_t entry,
-                                             size_t ef, size_t level) const {
-  visited_.NextEpoch();
-  const auto& layer = adj_[level];
-
-  std::vector<Neighbor> beam;  // ascending, size <= ef
-  std::vector<bool> expanded;
-  float d0 = SquaredL2(query, base_[entry], base_.dim());
-  beam.push_back({d0, entry});
-  expanded.push_back(false);
-  visited_.MarkVisited(entry);
-
-  for (;;) {
-    size_t next = beam.size();
-    for (size_t i = 0; i < beam.size(); ++i) {
-      if (!expanded[i]) {
-        next = i;
-        break;
-      }
-    }
-    if (next == beam.size()) break;
-    expanded[next] = true;
-    uint32_t v = beam[next].id;
-    for (uint32_t u : layer[v]) {
-      if (visited_.Visited(u)) continue;
-      visited_.MarkVisited(u);
-      float d = SquaredL2(query, base_[u], base_.dim());
-      Neighbor cand{d, u};
-      if (beam.size() >= ef && !(cand < beam.back())) continue;
-      auto it = std::lower_bound(beam.begin(), beam.end(), cand);
-      size_t pos = static_cast<size_t>(it - beam.begin());
-      beam.insert(it, cand);
-      expanded.insert(expanded.begin() + pos, false);
-      if (beam.size() > ef) {
-        beam.pop_back();
-        expanded.pop_back();
-      }
-    }
-  }
-  return beam;
 }
 
 std::vector<uint32_t> HnswIndex::SelectNeighbors(const float* /*query*/,
@@ -101,10 +68,9 @@ std::vector<uint32_t> HnswIndex::SelectNeighbors(const float* /*query*/,
 void HnswIndex::Insert(uint32_t id) {
   size_t level = static_cast<size_t>(
       -std::log(std::max(1e-12f, rng_.Uniform(0.0f, 1.0f))) * level_mult_);
-  node_level_[id] = level;
 
-  while (adj_.size() <= level) {
-    adj_.emplace_back(base_.size());
+  while (levels_.size() <= level) {
+    levels_.emplace_back(base_.size());
   }
 
   if (num_inserted_ == 0) {
@@ -114,44 +80,37 @@ void HnswIndex::Insert(uint32_t id) {
     return;
   }
 
-  const float* query = base_[id];
+  const auto dist = ExactL2(base_, base_[id]);
   uint32_t cur = entry_;
 
   // Greedy descent through layers above the node's level.
   for (size_t l = max_level_; l > level && l > 0; --l) {
-    bool improved = true;
-    float cur_d = SquaredL2(query, base_[cur], base_.dim());
-    while (improved) {
-      improved = false;
-      for (uint32_t u : adj_[l][cur]) {
-        float d = SquaredL2(query, base_[u], base_.dim());
-        if (d < cur_d) {
-          cur_d = d;
-          cur = u;
-          improved = true;
-        }
-      }
-    }
+    cur = GreedyDescent(levels_[l], cur, dist);
   }
 
   // Insert with ef-search on each layer from min(level, max_level_) down to 0.
+  BeamSearchOptions bopt;
+  bopt.beam_width = opt_.ef_construction;
+  bopt.k = opt_.ef_construction;
   for (size_t l = std::min(level, max_level_) + 1; l-- > 0;) {
-    auto candidates = SearchLayer(query, cur, opt_.ef_construction, l);
+    auto candidates =
+        BeamSearch(levels_[l], cur, dist, bopt, TlsVisitedTable(base_.size()));
     if (!candidates.empty()) cur = candidates.front().id;
     size_t m_layer = (l == 0) ? opt_.m * 2 : opt_.m;
-    auto selected = SelectNeighbors(query, candidates, opt_.m);
-    auto& layer = adj_[l];
-    layer[id] = selected;
+    auto selected = SelectNeighbors(base_[id], candidates, opt_.m);
+    ProximityGraph& layer = levels_[l];
+    layer.Neighbors(id) = selected;
     for (uint32_t u : selected) {
-      layer[u].push_back(id);
-      if (layer[u].size() > m_layer) {
+      std::vector<uint32_t>& nbrs = layer.Neighbors(u);
+      nbrs.push_back(id);
+      if (nbrs.size() > m_layer) {
         // Shrink with the same diversity heuristic.
         std::vector<Neighbor> cand;
-        cand.reserve(layer[u].size());
-        for (uint32_t w : layer[u]) {
+        cand.reserve(nbrs.size());
+        for (uint32_t w : nbrs) {
           cand.push_back({SquaredL2(base_[u], base_[w], base_.dim()), w});
         }
-        layer[u] = SelectNeighbors(base_[u], std::move(cand), m_layer);
+        nbrs = SelectNeighbors(base_[u], std::move(cand), m_layer);
       }
     }
   }
@@ -165,32 +124,19 @@ void HnswIndex::Insert(uint32_t id) {
 
 std::vector<Neighbor> HnswIndex::Search(const float* query, size_t k,
                                         size_t ef) const {
+  const auto dist = ExactL2(base_, query);
   uint32_t cur = entry_;
   for (size_t l = max_level_; l > 0; --l) {
-    bool improved = true;
-    float cur_d = SquaredL2(query, base_[cur], base_.dim());
-    while (improved) {
-      improved = false;
-      for (uint32_t u : adj_[l][cur]) {
-        float d = SquaredL2(query, base_[u], base_.dim());
-        if (d < cur_d) {
-          cur_d = d;
-          cur = u;
-          improved = true;
-        }
-      }
-    }
+    cur = GreedyDescent(levels_[l], cur, dist);
   }
-  auto beam = SearchLayer(query, cur, std::max(ef, k), 0);
-  if (beam.size() > k) beam.resize(k);
-  return beam;
+  BeamSearchOptions bopt;
+  bopt.beam_width = ef;
+  bopt.k = k;
+  return BeamSearch(levels_[0], cur, dist, bopt, TlsVisitedTable(base_.size()));
 }
 
 ProximityGraph HnswIndex::Flatten() const {
-  ProximityGraph g(base_.size());
-  for (uint32_t v = 0; v < base_.size(); ++v) {
-    g.Neighbors(v) = adj_[0][v];
-  }
+  ProximityGraph g = levels_[0];
   g.set_entry_point(entry_);
   return g;
 }

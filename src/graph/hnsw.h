@@ -30,7 +30,8 @@ class HnswIndex {
   static std::unique_ptr<HnswIndex> Build(const Dataset& base,
                                           const HnswOptions& options);
 
-  /// Exact-distance kNN query over the hierarchy.
+  /// Exact-distance kNN query over the hierarchy. Const and thread-safe:
+  /// the visited table comes from thread-local storage.
   std::vector<Neighbor> Search(const float* query, size_t k, size_t ef) const;
 
   /// Base layer + hierarchical entry point as a plain proximity graph.
@@ -43,9 +44,6 @@ class HnswIndex {
   HnswIndex(const Dataset& base, const HnswOptions& options);
 
   void Insert(uint32_t id);
-  /// Beam search restricted to one layer; returns ascending candidates.
-  std::vector<Neighbor> SearchLayer(const float* query, uint32_t entry,
-                                    size_t ef, size_t level) const;
   /// Malkov's heuristic neighbor selection (keeps spatially diverse edges).
   std::vector<uint32_t> SelectNeighbors(const float* query,
                                         std::vector<Neighbor> candidates,
@@ -54,15 +52,15 @@ class HnswIndex {
   const Dataset& base_;
   HnswOptions opt_;
   double level_mult_;
-  mutable Rng rng_;
+  Rng rng_;
 
-  std::vector<size_t> node_level_;
-  // adj_[level][node]; level 0 allows 2*M neighbors, upper layers M.
-  std::vector<std::vector<std::vector<uint32_t>>> adj_;
+  // One proximity graph per level over all node ids; a node has edges only
+  // on the levels it was inserted into. Level 0 allows 2*M neighbors, upper
+  // levels M. Level 0 plus entry_ is what Flatten() returns.
+  std::vector<ProximityGraph> levels_;
   uint32_t entry_ = 0;
   size_t max_level_ = 0;
   size_t num_inserted_ = 0;
-  mutable VisitedTable visited_;
 };
 
 }  // namespace rpq::graph

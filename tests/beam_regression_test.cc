@@ -1,7 +1,8 @@
 // Pins the beam-search hot-loop rewrite to the straightforward reference
 // formulation (sorted vector + parallel expanded flags + full rescan per
 // step): identical results, stats, and observer traces, for both scalar
-// oracles and the batched ADC oracle.
+// oracles and the batched ADC oracle; identical results and hops for the
+// FastScan neighbor-block oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "graph/beam_search.h"
 #include "graph/vamana.h"
 #include "quant/adc.h"
+#include "quant/fastscan.h"
 #include "quant/pq.h"
 
 namespace rpq::graph {
@@ -149,6 +151,38 @@ TEST(BeamRegressionTest, BatchedAdcOracleIdenticalToScalarReference) {
     ExpectSameResults(got, want);
     EXPECT_EQ(s_new.hops, s_ref.hops);
     EXPECT_EQ(s_new.dist_comps, s_ref.dist_comps);
+  }
+}
+
+TEST(BeamRegressionTest, FastScanBlockOracleIdenticalToSingleVertexReference) {
+  Fixture f(41);
+  quant::PqOptions popt;
+  popt.m = 16;
+  popt.nbits = 4;
+  popt.kmeans_iters = 4;
+  auto pq = quant::PqQuantizer::Train(f.base, popt);
+  auto codes = pq->EncodeDataset(f.base);
+  const size_t cs = pq->code_size();
+  const auto blocks = quant::PackedNeighborBlocks::Build(f.g, codes.data(), cs);
+
+  VisitedTable v_new(f.base.size()), v_ref(f.base.size());
+  for (size_t q = 0; q < f.queries.size(); ++q) {
+    quant::FastScanTable table(*pq, f.queries[q]);
+    // New path: whole-block scoring with distance-first pruning. Reference
+    // path: the oracle's single-vertex form, bitwise equal to the block
+    // form. Pruning and re-scoring visited neighbors change dist_comps and
+    // visited_hits by design, so only results and hops are compared.
+    quant::FastScanNeighborOracle block_oracle(table, codes.data(), cs, blocks);
+    auto single_oracle = [&](uint32_t v) { return block_oracle(v); };
+    for (size_t beam : {8u, 16u, 32u, 64u}) {
+      SearchStats s_new, s_ref;
+      auto got = BeamSearch(f.g, f.g.entry_point(), block_oracle, {beam, 10},
+                            &v_new, &s_new);
+      auto want = ReferenceBeamSearch(f.g, f.g.entry_point(), single_oracle,
+                                      {beam, 10}, &v_ref, &s_ref);
+      ExpectSameResults(got, want);
+      EXPECT_EQ(s_new.hops, s_ref.hops);
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include "data/synthetic.h"
 #include "disk/disk_index.h"
 #include "graph/fresh_vamana.h"
+#include "graph/hnsw.h"
 #include "graph/vamana.h"
 #include "quant/pq.h"
 #include "serve/search_service.h"
@@ -103,6 +104,40 @@ TEST(ConcurrencyTest, DiskIndexConcurrentSearchMatchesSerial) {
       for (size_t q = 0; q < f.queries.size(); ++q) {
         auto res = disk->Search(f.queries[q], 10, opt).results;
         if (res != serial[q]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
+// HnswIndex::Search is const: concurrent callers must not share visited
+// bookkeeping (each thread's table comes from thread-local storage), so
+// every thread reproduces the serial results exactly.
+TEST(ConcurrencyTest, HnswIndexConcurrentSearchMatchesSerial) {
+  Dataset base, queries;
+  synthetic::MakeBaseAndQueries("sift", 3000, 64, /*seed=*/11, &base,
+                                &queries);
+  graph::HnswOptions hopt;
+  hopt.m = 12;
+  auto hnsw = graph::HnswIndex::Build(base, hopt);
+  constexpr size_t kEf = 64;
+
+  std::vector<std::vector<Neighbor>> serial(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    serial[q] = hnsw->Search(queries[q], 10, kEf);
+  }
+
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < 4; ++t) {
+    workers.emplace_back([&] {
+      for (int round = 0; round < 20; ++round) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          if (hnsw->Search(queries[q], 10, kEf) != serial[q]) {
+            mismatches.fetch_add(1);
+          }
+        }
       }
     });
   }

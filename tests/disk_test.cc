@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+
 #include "common/deadline.h"
 #include "common/distance.h"
 #include "data/ground_truth.h"
@@ -9,6 +12,7 @@
 #include "disk/ssd_simulator.h"
 #include "eval/recall.h"
 #include "graph/vamana.h"
+#include "quant/adc.h"
 #include "quant/pq.h"
 #include "serve/search_service.h"
 
@@ -64,6 +68,48 @@ class DiskIndexTest : public ::testing::Test {
     pq_ = quant::PqQuantizer::Train(base_, popt);
     index_ = DiskIndex::Build(base_, graph_, *pq_);
     gt_ = ComputeGroundTruth(base_, queries_, 10);
+  }
+
+  // Pins one disk search (io_width 1, no readahead, no faults) to
+  // graph::BeamSearch over the same graph, entry and navigation oracle: the
+  // disk wave driver must expand exactly the vertices BeamSearch expands.
+  template <typename Oracle>
+  void ExpectTraversalMatchesBeamSearch(const DiskIndex& index, Oracle& oracle,
+                                        size_t q, size_t beam) {
+    const float* query = queries_[q];
+    const DiskSearchResult disk = index.Search(query, 10, {beam, 10});
+
+    // Each step expands the first beam entry not yet expanded; visited
+    // marking means an evicted vertex never re-enters the beam, so "not yet
+    // expanded" is decided by id.
+    std::vector<uint32_t> expanded;
+    std::unordered_set<uint32_t> seen;
+    graph::VisitedTable visited(base_.size());
+    graph::SearchStats stats;
+    graph::BeamSearch(graph_, graph_.entry_point(), oracle, {beam, 10},
+                      &visited, &stats, [&](const std::vector<Neighbor>& b) {
+                        for (const Neighbor& n : b) {
+                          if (seen.insert(n.id).second) {
+                            expanded.push_back(n.id);
+                            return;
+                          }
+                        }
+                      });
+
+    EXPECT_EQ(disk.stats.hops, stats.hops) << "query " << q << " beam " << beam;
+    EXPECT_EQ(disk.stats.visited_hits, stats.visited_hits)
+        << "query " << q << " beam " << beam;
+    // One exact rerank per fetched node on top of the estimates.
+    EXPECT_EQ(disk.stats.dist_comps, stats.dist_comps + stats.hops)
+        << "query " << q << " beam " << beam;
+
+    std::vector<Neighbor> exact;
+    for (uint32_t v : expanded) {
+      exact.push_back({SquaredL2(query, base_[v], base_.dim()), v});
+    }
+    std::sort(exact.begin(), exact.end());
+    if (exact.size() > 10) exact.resize(10);
+    EXPECT_EQ(disk.results, exact) << "query " << q << " beam " << beam;
   }
 
   Dataset base_, queries_;
@@ -201,6 +247,38 @@ TEST_F(DiskIndexTest, ReadaheadKeepsResultsIdenticalAndEarnsItsReads) {
   EXPECT_EQ(hits + wasted, issued);
   // Acceptance pin: the beam-rank predictor earns its speculative reads.
   EXPECT_GE(static_cast<double>(hits), 0.5 * static_cast<double>(issued));
+}
+
+TEST_F(DiskIndexTest, AdcTraversalMatchesBeamSearch) {
+  ASSERT_FALSE(index_->fastscan_routing());
+  const std::vector<uint8_t> codes = pq_->EncodeDataset(base_);
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    quant::AdcTable table(*pq_, queries_[q]);
+    quant::AdcBatchOracle oracle{table, codes.data(), pq_->code_size()};
+    for (size_t beam : {16u, 32u, 64u}) {
+      ExpectTraversalMatchesBeamSearch(*index_, oracle, q, beam);
+    }
+  }
+}
+
+TEST_F(DiskIndexTest, FastScanTraversalMatchesBeamSearch) {
+  quant::PqOptions popt;
+  popt.m = 32;
+  popt.nbits = 4;
+  auto pq4 = quant::PqQuantizer::Train(base_, popt);
+  auto index = DiskIndex::Build(base_, graph_, *pq4);
+  ASSERT_TRUE(index->fastscan_routing());
+  const std::vector<uint8_t> codes = pq4->EncodeDataset(base_);
+  const auto blocks = quant::PackedNeighborBlocks::Build(graph_, codes.data(),
+                                                         pq4->code_size());
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    quant::FastScanTable table(*pq4, queries_[q]);
+    quant::FastScanNeighborOracle oracle(table, codes.data(), pq4->code_size(),
+                                         blocks);
+    for (size_t beam : {16u, 32u, 64u}) {
+      ExpectTraversalMatchesBeamSearch(*index, oracle, q, beam);
+    }
+  }
 }
 
 TEST_F(DiskIndexTest, WideWavesCutSimulatedTimeRecallNeutral) {
