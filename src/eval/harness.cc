@@ -68,14 +68,6 @@ std::vector<OperatingPoint> SweepBeamWidths(
   return curve;
 }
 
-std::vector<OperatingPoint> SweepNprobe(
-    const SearchFn& search, const Dataset& queries,
-    const std::vector<std::vector<Neighbor>>& gt, size_t k,
-    const std::vector<size_t>& nprobes, const SweepOptions& options) {
-  // Same replay machinery; the swept values reach the SearchFn as `beam`.
-  return SweepBeamWidths(search, queries, gt, k, nprobes, options);
-}
-
 double QpsAtRecall(const std::vector<OperatingPoint>& curve, double target_recall,
                    bool* reached) {
   if (reached != nullptr) *reached = false;

@@ -25,8 +25,8 @@ struct SearchOutcome {
 /// Fixed per-sweep knobs that are not the swept axis — a refinement request
 /// (refine::RerankSpec width/mode), an IVF rerank width, a distance mode —
 /// are captured inside the closure at the call site, so one sweep compares
-/// operating points at otherwise-identical settings (see rpq_tool's
-/// --sweep-nprobe and --rerank-mode plumbing).
+/// operating points at otherwise-identical settings (rpq_tool's
+/// --sweep-nprobe captures the backend's whole serve::SearchService).
 using SearchFn =
     std::function<SearchOutcome(const float* query, size_t k, size_t beam)>;
 
@@ -49,22 +49,14 @@ struct SweepOptions {
   size_t threads = 1;
 };
 
-/// Runs every query at every beam width; recall measured against `gt`.
+/// Runs every query at every beam width; recall measured against `gt`. IVF
+/// sweeps pass nprobe values, which reach the SearchFn as `beam`.
 /// The replay goes through serve::ServingEngine (see SweepOptions.threads);
 /// recall math is independent of the replay order.
 std::vector<OperatingPoint> SweepBeamWidths(
     const SearchFn& search, const Dataset& queries,
     const std::vector<std::vector<Neighbor>>& gt, size_t k,
     const std::vector<size_t>& beams, const SweepOptions& options = {});
-
-/// IVF flavor of the sweep: identical machinery, but the swept knob is
-/// nprobe — the SearchFn receives each value as its `beam` argument and
-/// OperatingPoint.beam records it. Exists so IVF recall/QPS curves read as
-/// what they are at call sites (see rpq_tool search --index ivf).
-std::vector<OperatingPoint> SweepNprobe(
-    const SearchFn& search, const Dataset& queries,
-    const std::vector<std::vector<Neighbor>>& gt, size_t k,
-    const std::vector<size_t>& nprobes, const SweepOptions& options = {});
 
 /// Linear interpolation of QPS at `target_recall` along the curve. When the
 /// curve never reaches the target, returns the QPS of the highest-recall

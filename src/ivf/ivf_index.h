@@ -158,6 +158,9 @@ class IvfIndex {
   size_t list_size(size_t l) const;
   bool stores_vectors() const { return options_.store_vectors; }
   bool residual() const { return options_.residual; }
+  /// Cells a query probes when IvfSearchOptions.nprobe is 0 (saved with the
+  /// index; clamped to nlist at search time).
+  size_t default_nprobe() const { return options_.default_nprobe; }
   const quant::VectorQuantizer& quantizer() const { return quantizer_; }
   const std::vector<float>& centroids() const { return centroids_; }
 

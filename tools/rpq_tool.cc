@@ -13,29 +13,13 @@
 //                         --out ivf.bin [--nlist 64] [--nprobe 8]
 //                         [--store-vectors] [--train-sample 0]
 //                         [--residual [--nbits 8] [--m 16]]
-//   rpq_tool search       --base data/base.fvecs --graph g.bin
-//                         --model model.rpqq --queries data/queries.fvecs
-//                         --k 10 --beam 64 [--mode adc|sdc|fastscan]
-//                         [--rerank N] [--rerank-mode adc|exact|linkcode]
-//                         [--store-vectors] [--hybrid] [--dump-top1 path]
-//                         [--index memory|disk|ivf] [--ivf ivf.bin]
-//                         [--nlist 64] [--nprobe 8] [--residual]
+//   rpq_tool search       <backend flags> --queries data/queries.fvecs
+//                         [--k 10] [--dump-top1 path] [--trace]
 //                         [--sweep-nprobe 1,2,4,...] [--sweep-csv out.csv]
-//                         [--queue-depth 8] [--io-width 1] [--readahead 0]
-//                         [--trace]
-//   rpq_tool serve-bench  --base data/base.fvecs --graph g.bin
-//                         --model model.rpqq --queries data/queries.fvecs
-//                         [--threads 4] [--shards 1] [--parallel-shards]
-//                         [--k 10] [--beam 64] [--total 0] [--rate 0]
+//   rpq_tool serve-bench  <backend flags> --queries data/queries.fvecs
+//                         [--threads 4] [--k 10] [--total 0] [--rate 0]
 //                         [--batch 0] [--metrics-json out.json]
-//                         [--index memory|disk|ivf] [--mode adc|sdc|fastscan]
-//                         [--rerank N] [--rerank-mode adc|exact|linkcode]
-//                         [--nlist 64] [--nprobe 8] [--residual]
 //                         [--deadline-us 0] [--shed 0] [--brownout 0]
-//                         [--faults "point=rate,...,seed=N"] [--fault-seed N]
-//                         [--disk-error-rate 0] [--disk-spike-rate 0]
-//                         [--queue-depth 8] [--io-width 1] [--readahead 0]
-//                         [--shard-timeout-us 0] [--hedge-us 0] [--stall-ms 2]
 //                         [--stats-port P] [--window-secs 5] [--slow-us 0]
 //                         [--slow-capacity 256] [--slow-json out.json]
 //   rpq_tool bench-diff   baseline.json candidate.json [--max-regress 10]
@@ -43,10 +27,31 @@
 //   rpq_tool metrics-validate --json out.json [--require name1,name2,...]
 //                         [--diff older.json [--interval-secs 1]]
 //
+// search and serve-bench share one list of backend flags, parsed in one
+// place (MakeBackend), so the same flags serve the same deployment in both.
+// search replays its queries serially through the backend's
+// serve::SearchService; serve-bench load-tests that same service.
+//
+//   --base data/base.fvecs --model model.rpqq [--index memory|disk|ivf]
+//   [--hybrid]      same as --index disk; an error with --index ivf
+//   memory, disk:   --graph g.bin [--beam 64] [--mode adc|sdc|fastscan]
+//                   [--rerank N] [--rerank-mode adc|exact|linkcode]
+//                   [--store-vectors]
+//   disk:           [--queue-depth 8] [--io-width 1] [--readahead 0]
+//                   [--disk-error-rate 0] [--disk-spike-rate 0]
+//   ivf:            [--ivf ivf.bin] [--nlist 64] [--nprobe P] [--residual]
+//                   [--store-vectors] [--rerank N] [--rerank-mode adc|exact]
+//   memory shards:  [--shards 1] [--parallel-shards] [--shard-timeout-us 0]
+//                   [--hedge-us 0] [--stall-ms 2] [--degree 32]
+//                   [--build-beam 64]
+//   faults:         [--faults "point=rate,...,seed=N"] [--fault-seed N]
+//
 // Observability (src/obs/): search --trace threads a per-query obs::QueryTrace
-// through the backend and prints a per-stage time breakdown plus the search
-// stats (hops, distance evals, visited-table hits) for the first few queries
-// and in aggregate. serve-bench --metrics-json enables the process-wide
+// through the service and prints a per-stage time breakdown plus the search
+// stats (hops, distance evals, visited-table hits; lists probed and codes
+// scanned for IVF) for the first few queries, the stage totals, and a
+// `counters:` line with the per-query rate of every registry counter the
+// replay moved. serve-bench --metrics-json enables the process-wide
 // metrics registry for the run and writes the obs::DumpJson() snapshot —
 // per-stage latency histograms, backend counters, batcher occupancy — to the
 // given path; --batch N routes the open-loop leg through a MicroBatcher of
@@ -82,13 +87,14 @@
 // --index ivf serves the non-graph backend: coarse k-means routing over
 // --nlist cells, flat FastScan scans of the --nprobe nearest (requires a
 // FastScan-capable model: 4-bit, or split-trained K = 256; --graph is
-// unused). search builds the index in memory or loads one saved by build-ivf
-// (--ivf); --sweep-nprobe prints a recall/QPS operating curve over the given
-// comma-separated nprobe values, and --sweep-csv also writes it as
-// `nprobe,recall@10,us_per_query` rows. serve-bench with --index ivf drives
-// the same concurrent load tests over IvfService, where a query's beam_width
-// slot carries its nprobe. --index memory is the in-memory graph backend
-// (alias: graph); --index disk the hybrid one (alias: --hybrid).
+// unused). The index is built in memory or loaded from a build-ivf file
+// (--ivf) and served through IvfService, where a query's beam_width slot
+// carries its nprobe; --nprobe defaults to the index's own default (the
+// --nprobe it was built with). search --sweep-nprobe prints a recall/QPS
+// operating curve over the given comma-separated nprobe values, and
+// --sweep-csv also writes it as `nprobe,recall@10,us_per_query` rows.
+// --index memory is the in-memory graph backend (alias: graph); --index disk
+// the hybrid one.
 //
 // --residual selects residual IVFADC: codes quantize x - centroid of the
 // owning cell. Because the PQ codebooks must be trained on the residual
@@ -115,23 +121,24 @@
 // closed-loop load test with --threads clients (and, when --rate is given,
 // an open-loop run at that arrival QPS), reporting QPS and p50/p95/p99
 // latency. --shards S > 1 builds an S-shard in-memory deployment (per-shard
-// Vamana graphs; --graph is then unused).
+// Vamana graphs; --graph is then unused). It serves plain ADC memory shards
+// only: any other --index, --mode, or rerank flag is an error there.
 //
 // Fault tolerance (see README "Fault tolerance"): --deadline-us gives every
 // query a latency budget (late queries return partial results flagged
 // degraded); --shed / --brownout set the open-loop engine's admission
 // watermarks; --faults installs a seeded process-wide injection plan (same
-// syntax as RPQ_FAULTS: "disk_read_error=0.01,shard_stall=0.05,seed=7");
-// --disk-error-rate / --disk-spike-rate set the SSD simulator's own
-// transient-failure and tail-spike rates (--index disk); --shard-timeout-us
-// abandons shards that miss the cap (partial merge, shards_lost),
-// --hedge-us sends a hedge to the shard's replica after that delay, and
-// --stall-ms sizes the injected shard stall — the latter three imply
-// --parallel-shards. Any degradation prints an extra report line (answered
-// fraction, degraded %, shed / deadline / hedged / shards-lost counts), and
-// the same tallies land in --metrics-json as serve.shed,
-// serve.deadline_exceeded, serve.hedges, serve.shard_lost, disk.retries,
-// disk.io_errors, and fault.* counters.
+// syntax as RPQ_FAULTS: "disk_read_error=0.01,shard_stall=0.05,seed=7")
+// before any index is built, so search honors it too; --disk-error-rate /
+// --disk-spike-rate set the SSD simulator's own transient-failure and
+// tail-spike rates (--index disk); --shard-timeout-us abandons shards that
+// miss the cap (partial merge, shards_lost), --hedge-us sends a hedge to the
+// shard's replica after that delay, and --stall-ms sizes the injected shard
+// stall — the latter three imply --parallel-shards. Any degradation prints
+// an extra report line (answered fraction, degraded %, shed / deadline /
+// hedged / shards-lost counts), and the same tallies land in --metrics-json
+// as serve.shed, serve.deadline_exceeded, serve.hedges, serve.shard_lost,
+// disk.retries, disk.io_errors, and fault.* counters.
 //
 // Every artifact is a documented binary format (see quant/serialize.h and
 // graph/graph.h), so stages can run on different machines.
@@ -286,23 +293,27 @@ int CmdTrain(const Flags& flags) {
   const char* out = flags.Get("out");
   if (out == nullptr) return Fail("--out is required");
 
-  // --nbits 4 restricts K to 16 across every method, making the model
-  // eligible for the FastScan search path; an explicit larger --k is a flag
-  // error rather than a silent cap.
+  // One K rule for every method: codes of --nbits bits index at most
+  // 2^nbits centroids (--nbits 4 makes the model eligible for the FastScan
+  // search path). A larger --k is a flag error rather than a silent cap; K
+  // defaults to that maximum.
   const size_t nbits = flags.GetSize("nbits", 8);
   if (nbits != 8 && nbits != 4) return Fail("--nbits must be 8 or 4");
-  const size_t default_k = nbits == 4 ? 16 : 256;
-  if (nbits == 4 && flags.GetSize("k", 16) > 16) {
-    return Fail("--nbits 4 codes hold K <= 16 centroids; for K = 256 on the "
-                "FastScan path use --nbits 8 with the split regime "
-                "(train --method pq --split, or build-ivf --residual)");
+  const size_t max_k = nbits == 4 ? 16 : 256;
+  const size_t k = flags.GetSize("k", max_k);
+  if (k > max_k) {
+    return Fail("--nbits " + std::to_string(nbits) + " codes hold K <= " +
+                std::to_string(max_k) +
+                " centroids; for K = 256 on the FastScan path use --nbits 8 "
+                "with the split regime (train --method pq --split, or "
+                "build-ivf --residual)");
   }
 
   std::unique_ptr<rpq::quant::PqQuantizer> model;
   if (method == "pq") {
     rpq::quant::PqOptions opt;
     opt.m = flags.GetSize("m", 16);
-    opt.k = flags.GetSize("k", default_k);
+    opt.k = k;
     opt.nbits = nbits;
     if (flags.Has("split")) {
       // K = 256 additive split regime (quant/split.h): FastScan-capable
@@ -319,7 +330,7 @@ int CmdTrain(const Flags& flags) {
   } else if (method == "opq") {
     rpq::quant::OpqOptions opt;
     opt.pq.m = flags.GetSize("m", 16);
-    opt.pq.k = flags.GetSize("k", default_k);
+    opt.pq.k = k;
     opt.pq.nbits = nbits;
     opt.outer_iters = flags.GetSize("iters", 4);
     model = rpq::quant::TrainOpq(base.value(), opt);
@@ -330,8 +341,7 @@ int CmdTrain(const Flags& flags) {
     if (!g.ok()) return Fail(g.status().ToString());
     rpq::core::RpqTrainOptions opt;
     opt.m = flags.GetSize("m", 16);
-    opt.k = std::min(flags.GetSize("k", default_k),
-                     nbits == 4 ? size_t{16} : size_t{256});
+    opt.k = k;
     opt.epochs = flags.GetSize("epochs", 3);
     opt.triplets_per_epoch = flags.GetSize("triplets", 1024);
     opt.routing_queries_per_epoch = flags.GetSize("routing-queries", 48);
@@ -371,74 +381,25 @@ int CmdEncode(const Flags& flags) {
   return 0;
 }
 
-// Parses --rerank-mode (absent = auto); false on unknown names.
-bool GetRerankMode(const Flags& flags, rpq::refine::RerankMode* mode) {
-  return rpq::refine::ParseRerankMode(flags.Get("rerank-mode", "auto"), mode);
+// Parses --rerank-mode (absent = auto).
+rpq::Status GetRerankMode(const Flags& flags, rpq::refine::RerankMode* mode) {
+  if (rpq::refine::ParseRerankMode(flags.Get("rerank-mode", "auto"), mode)) {
+    return rpq::Status::OK();
+  }
+  return rpq::Status::InvalidArgument(
+      "--rerank-mode must be adc, exact, or linkcode");
 }
 
-// Builds a Link&Code refinement model shaped like `model` (same m/K, its
-// own least-squares neighbor weights) for --rerank-mode linkcode.
-std::unique_ptr<rpq::quant::LinkCodeIndex> BuildLinkCode(
-    const Dataset& base, const rpq::graph::ProximityGraph& graph,
-    const rpq::quant::PqQuantizer& model) {
-  rpq::quant::LinkCodeOptions opt;
-  opt.pq.m = model.num_chunks();
-  opt.pq.k = model.num_centroids();
-  opt.pq.nbits = model.num_centroids() <= 16 ? 4 : 8;
-  return rpq::quant::LinkCodeIndex::Build(base, graph, opt);
-}
-
-// The memory (graph) backend with its refinement epilogue configured from
-// the flags — one implementation shared by search and serve-bench so the
-// two commands cannot drift: distance-mode parse, the rerank-mode-requires-
-// fastscan rule, --rerank-mode exact implying retained rows, and Link&Code
-// model wiring.
-struct MemoryBackend {
-  std::unique_ptr<rpq::core::MemoryIndex> index;
-  std::unique_ptr<rpq::quant::LinkCodeIndex> linkcode;  ///< kLinkCode only
-  rpq::core::DistanceMode mode = rpq::core::DistanceMode::kAdc;
-};
-
-rpq::Result<MemoryBackend> MakeMemoryBackend(
-    const Flags& flags, const Dataset& base,
-    const rpq::graph::ProximityGraph& graph,
-    const rpq::quant::PqQuantizer& model, rpq::refine::RerankMode rmode) {
-  MemoryBackend b;
-  const std::string mode_name = flags.Get("mode", "adc");
-  if (mode_name == "sdc") {
-    b.mode = rpq::core::DistanceMode::kSdc;
-  } else if (mode_name == "fastscan") {
-    b.mode = rpq::core::DistanceMode::kFastScan;
-  } else if (mode_name != "adc") {
-    // A typo'd mode must not silently benchmark plain ADC.
-    return rpq::Status::InvalidArgument("unknown --mode: " + mode_name +
-                                        " (adc|sdc|fastscan)");
+// Loads the quantizer at `path` (the --model flag's value) into *model.
+rpq::Status LoadModel(const char* path,
+                      std::unique_ptr<rpq::quant::PqQuantizer>* model) {
+  if (path == nullptr) {
+    return rpq::Status::InvalidArgument("--model is required");
   }
-  if (rmode != rpq::refine::RerankMode::kAuto &&
-      b.mode != rpq::core::DistanceMode::kFastScan) {
-    return rpq::Status::InvalidArgument(
-        "--rerank-mode applies to --mode fastscan (the mode with a "
-        "refinement epilogue)");
-  }
-  rpq::core::MemoryIndexOptions mopt;
-  mopt.store_vectors = flags.Has("store-vectors") ||
-                       rmode == rpq::refine::RerankMode::kExact;
-  b.index = rpq::core::MemoryIndex::Build(base, graph, model, mopt);
-  if (b.mode == rpq::core::DistanceMode::kFastScan) {
-    if (!b.index->fastscan_capable()) {
-      return rpq::Status::InvalidArgument(
-          "--mode fastscan needs a 4-bit model (train with --nbits 4)");
-    }
-    b.index->set_fastscan_rerank(flags.GetSize("rerank", 0));
-    b.index->set_rerank_mode(rmode);
-    if (rmode == rpq::refine::RerankMode::kLinkCode) {
-      rpq::Timer lc_timer;
-      b.linkcode = BuildLinkCode(base, graph, model);
-      b.index->set_linkcode(b.linkcode.get());
-      std::printf("linkcode model fit in %.1fs\n", lc_timer.ElapsedSeconds());
-    }
-  }
-  return rpq::Result<MemoryBackend>(std::move(b));
+  auto loaded = rpq::quant::LoadQuantizer(path);
+  if (!loaded.ok()) return loaded.status();
+  *model = std::move(loaded.value());
+  return rpq::Status::OK();
 }
 
 // IVF refinement-stage validation shared by search, serve-bench, and
@@ -459,34 +420,6 @@ rpq::Status CheckIvfRerankMode(rpq::refine::RerankMode rmode,
         "(rebuild with --store-vectors)");
   }
   return rpq::Status::OK();
-}
-
-// The disk backend's exact-on-fetch rerank is inherent; any other requested
-// stage is a flag error (shared by search and serve-bench).
-rpq::Status CheckDiskRerankMode(rpq::refine::RerankMode rmode) {
-  if (rmode == rpq::refine::RerankMode::kAuto ||
-      rmode == rpq::refine::RerankMode::kExact) {
-    return rpq::Status::OK();
-  }
-  return rpq::Status::InvalidArgument(
-      "the disk backend reranks every fetched vector exactly; --rerank-mode " +
-      std::string(rpq::refine::RerankModeName(rmode)) + " does not apply");
-}
-
-// IVF build knobs shared by build-ivf, search --index ivf, serve-bench.
-// --rerank-mode exact implies --store-vectors: the exact stage needs the
-// raw rows resident.
-rpq::ivf::IvfOptions IvfOptionsFrom(const Flags& flags) {
-  rpq::ivf::IvfOptions opt;
-  rpq::refine::RerankMode rmode = rpq::refine::RerankMode::kAuto;
-  GetRerankMode(flags, &rmode);
-  opt.nlist = flags.GetSize("nlist", 64);
-  opt.default_nprobe = flags.GetSize("nprobe", 8);
-  opt.store_vectors = flags.Has("store-vectors") ||
-                      rmode == rpq::refine::RerankMode::kExact;
-  opt.train_sample = flags.GetSize("train-sample", 0);
-  opt.residual = flags.Has("residual");
-  return opt;
 }
 
 // Residual-regime model training: the PQ codebooks must see the residual
@@ -522,65 +455,245 @@ rpq::Result<std::unique_ptr<rpq::quant::PqQuantizer>> TrainResidualModel(
   return rpq::quant::PqQuantizer::Train(residual_set, opt);
 }
 
-// An IVF deployment assembled from the flags. The index borrows its
-// quantizer, so the backend owns both; `model` is the loaded --model or, in
-// the in-process residual flow, the freshly trained one.
-struct IvfBackend {
+// One deployment assembled from the flags: what search replays and what
+// serve-bench load-tests. MakeBackend fills a caller-owned Backend in place
+// and nothing moves it afterwards, because the indexes hold references to
+// its model and graph. Members are declared in borrow order, so each one
+// outlives everything that borrows it. The sharded deployment comes last:
+// ~ShardedService drains abandoned fan-out tasks, and those tasks still
+// touch what the shards borrow (the model, and the caller's base rows).
+struct Backend {
   std::unique_ptr<rpq::quant::PqQuantizer> model;
-  std::unique_ptr<rpq::ivf::IvfIndex> index;
+  rpq::graph::ProximityGraph graph;
+  std::unique_ptr<rpq::core::MemoryIndex> memory;
+  std::unique_ptr<rpq::disk::DiskIndex> disk;
+  std::unique_ptr<rpq::ivf::IvfIndex> ivf;
+  std::unique_ptr<rpq::quant::LinkCodeIndex> linkcode;  ///< kLinkCode only
+  std::unique_ptr<rpq::serve::SearchService> owned_service;
+  rpq::serve::ShardedMemoryIndex sharded;
+  const rpq::serve::SearchService* service = nullptr;
+  size_t beam = 64;  ///< per-query QuerySpec::beam_width; nprobe for IVF
 };
 
-// Loads a saved IVF index (--ivf + --model), or builds one over the base in
-// memory: the plain flow encodes raw rows with the loaded --model; the
-// --residual flow trains the coarse quantizer first (or re-derives it — the
-// k-means is deterministic in the flags) and encodes per-cell residuals with
-// --model when given, a freshly trained residual model otherwise.
-rpq::Result<IvfBackend> MakeIvfBackend(const Flags& flags,
-                                       const Dataset& base) {
-  IvfBackend b;
-  const char* mpath = flags.Get("model");
-  if (const char* path = flags.Get("ivf")) {
-    if (mpath == nullptr) {
+// The IVF build step, shared by MakeBackend and build-ivf: builds an index
+// over `base` into b->model and b->ivf. The plain flow encodes raw rows with
+// the model at `model_path`. The --residual flow trains the coarse
+// quantizer first (k-means is deterministic in the flags, so a rebuild
+// reproduces a saved index's routing) and encodes per-cell residuals with
+// the model at `model_path`, or with a freshly trained residual model when
+// `model_path` is null. --rerank-mode exact implies --store-vectors: the
+// exact stage needs the raw rows resident.
+rpq::Status BuildIvf(const Flags& flags, const Dataset& base,
+                     const char* model_path, rpq::refine::RerankMode rmode,
+                     Backend* b) {
+  // Impossible stages are rejected before the (potentially expensive) build.
+  RPQ_RETURN_NOT_OK(CheckIvfRerankMode(rmode, nullptr));
+  rpq::ivf::IvfOptions opt;
+  opt.nlist = flags.GetSize("nlist", 64);
+  opt.default_nprobe = flags.GetSize("nprobe", 8);
+  opt.store_vectors = flags.Has("store-vectors") ||
+                      rmode == rpq::refine::RerankMode::kExact;
+  opt.train_sample = flags.GetSize("train-sample", 0);
+  opt.residual = flags.Has("residual");
+  if (model_path != nullptr || !opt.residual) {
+    RPQ_RETURN_NOT_OK(LoadModel(model_path, &b->model));
+    if (b->model->num_centroids() > 16 && b->model->split_model() == nullptr) {
       return rpq::Status::InvalidArgument(
-          "--ivf needs --model (the quantizer the index was built with)");
+          "--index ivf needs a FastScan-capable model: 4-bit (--nbits 4) or "
+          "split-trained K = 256 (train --split / build-ivf --residual)");
     }
-    auto model = rpq::quant::LoadQuantizer(mpath);
-    if (!model.ok()) return model.status();
-    b.model = std::move(model.value());
-    auto loaded = rpq::ivf::IvfIndex::Load(path, *b.model);
-    if (!loaded.ok()) return loaded.status();
-    b.index = std::move(loaded.value());
-    return rpq::Result<IvfBackend>(std::move(b));
   }
-  rpq::ivf::IvfOptions opt = IvfOptionsFrom(flags);
-  if (opt.residual) {
-    std::vector<float> centroids = rpq::ivf::IvfIndex::TrainCoarse(base, opt);
-    if (mpath != nullptr) {
-      auto model = rpq::quant::LoadQuantizer(mpath);
-      if (!model.ok()) return model.status();
-      b.model = std::move(model.value());
-    } else {
-      auto trained = TrainResidualModel(base, centroids, flags);
-      if (!trained.ok()) return trained.status();
-      b.model = std::move(trained.value());
+  rpq::Timer timer;
+  std::vector<float> centroids = rpq::ivf::IvfIndex::TrainCoarse(base, opt);
+  if (b->model == nullptr) {
+    auto trained = TrainResidualModel(base, centroids, flags);
+    if (!trained.ok()) return trained.status();
+    b->model = std::move(trained.value());
+  }
+  b->ivf = rpq::ivf::IvfIndex::BuildWithCentroids(base, std::move(centroids),
+                                                  *b->model, opt);
+  std::printf("built ivf index: %zu lists over %zu vectors in %.1fs "
+              "(%.1f MB)\n",
+              b->ivf->nlist(), b->ivf->size(), timer.ElapsedSeconds(),
+              b->ivf->MemoryBytes() / 1e6);
+  return rpq::Status::OK();
+}
+
+// Parses every backend flag (see the header) and fills `b`. Each rule lives
+// here once, so search and serve-bench cannot drift: an unknown --index,
+// --hybrid with --index ivf, and --shards > 1 on anything but plain-ADC
+// memory are flag errors; --nprobe defaults to the index's own default.
+rpq::Status MakeBackend(const Flags& flags, const Dataset& base, Backend* b) {
+  // --faults installs a process-wide injection plan (same syntax as the
+  // RPQ_FAULTS environment variable, which it overrides); --fault-seed
+  // replaces just the seed. Installed before any index is built so the SSD
+  // simulator's own injector merges it in at construction.
+  rpq::fault::Plan plan = rpq::fault::GlobalInjector().plan();
+  if (const char* spec = flags.Get("faults")) {
+    std::string err;
+    if (!rpq::fault::ParsePlan(spec, &plan, &err)) {
+      return rpq::Status::InvalidArgument(err);
     }
-    b.index = rpq::ivf::IvfIndex::BuildWithCentroids(base, std::move(centroids),
-                                                     *b.model, opt);
-    return rpq::Result<IvfBackend>(std::move(b));
   }
-  if (mpath == nullptr) {
-    return rpq::Status::InvalidArgument("--model is required");
+  if (flags.Has("fault-seed")) plan.seed = flags.GetSize("fault-seed", 1);
+  if (flags.Has("faults") || flags.Has("fault-seed")) {
+    rpq::fault::SetGlobalPlan(plan);
   }
-  auto model = rpq::quant::LoadQuantizer(mpath);
-  if (!model.ok()) return model.status();
-  b.model = std::move(model.value());
-  if (b.model->num_centroids() > 16 && b.model->split_model() == nullptr) {
+
+  std::string kind = flags.Get("index", "memory");
+  if (kind == "graph") kind = "memory";  // alias
+  if (flags.Has("hybrid")) {
+    if (kind == "ivf") {
+      return rpq::Status::InvalidArgument(
+          "--hybrid selects the disk backend; it conflicts with --index ivf");
+    }
+    kind = "disk";
+  }
+  if (kind != "memory" && kind != "disk" && kind != "ivf") {
+    return rpq::Status::InvalidArgument("unknown --index: " + kind +
+                                        " (memory|disk|ivf)");
+  }
+  rpq::refine::RerankMode rmode = rpq::refine::RerankMode::kAuto;
+  RPQ_RETURN_NOT_OK(GetRerankMode(flags, &rmode));
+  const std::string mode_name = flags.Get("mode", "adc");
+  rpq::core::DistanceMode mode = rpq::core::DistanceMode::kAdc;
+  if (mode_name == "sdc") {
+    mode = rpq::core::DistanceMode::kSdc;
+  } else if (mode_name == "fastscan") {
+    mode = rpq::core::DistanceMode::kFastScan;
+  } else if (mode_name != "adc") {
+    // A typo'd mode must not silently benchmark plain ADC.
+    return rpq::Status::InvalidArgument("unknown --mode: " + mode_name +
+                                        " (adc|sdc|fastscan)");
+  }
+  // The sharded deployment builds plain ADC memory shards; flags it cannot
+  // honor must fail loudly, not silently benchmark something else.
+  const size_t shards = flags.GetSize("shards", 1);
+  if (shards > 1 &&
+      (kind != "memory" || mode != rpq::core::DistanceMode::kAdc ||
+       flags.Has("rerank") || flags.Has("rerank-mode") ||
+       flags.Has("store-vectors"))) {
     return rpq::Status::InvalidArgument(
-        "--index ivf needs a FastScan-capable model: 4-bit (--nbits 4) or "
-        "split-trained K = 256 (train --split / build-ivf --residual)");
+        "--shards > 1 serves plain ADC memory shards; --index disk|ivf, "
+        "--mode sdc|fastscan, --rerank, --rerank-mode, and --store-vectors "
+        "are not supported there");
   }
-  b.index = rpq::ivf::IvfIndex::Build(base, *b.model, opt);
-  return rpq::Result<IvfBackend>(std::move(b));
+  b->beam = flags.GetSize("beam", 64);
+
+  if (kind == "ivf") {
+    const char* mpath = flags.Get("model");
+    if (const char* path = flags.Get("ivf")) {
+      if (mpath == nullptr) {
+        return rpq::Status::InvalidArgument(
+            "--ivf needs --model (the quantizer the index was built with)");
+      }
+      RPQ_RETURN_NOT_OK(LoadModel(mpath, &b->model));
+      auto loaded = rpq::ivf::IvfIndex::Load(path, *b->model);
+      if (!loaded.ok()) return loaded.status();
+      b->ivf = std::move(loaded.value());
+    } else {
+      RPQ_RETURN_NOT_OK(BuildIvf(flags, base, mpath, rmode, b));
+    }
+    RPQ_RETURN_NOT_OK(CheckIvfRerankMode(rmode, b->ivf.get()));
+    b->beam = flags.GetSize("nprobe", b->ivf->default_nprobe());
+    b->owned_service = std::make_unique<rpq::serve::IvfService>(
+        *b->ivf, flags.GetSize("rerank", 0), rmode);
+    b->service = b->owned_service.get();
+    return rpq::Status::OK();
+  }
+
+  RPQ_RETURN_NOT_OK(LoadModel(flags.Get("model"), &b->model));
+  if (shards > 1) {
+    rpq::graph::VamanaOptions vopt;
+    vopt.degree = flags.GetSize("degree", 32);
+    vopt.build_beam = flags.GetSize("build-beam", 64);
+    rpq::serve::ShardedOptions sopt;
+    sopt.shard_timeout_us = flags.GetSize("shard-timeout-us", 0);
+    sopt.hedge_delay_us = flags.GetSize("hedge-us", 0);
+    sopt.injected_stall_us = flags.GetSize("stall-ms", 2) * 1000;
+    // Timeouts and hedging are properties of the parallel fan-out.
+    sopt.parallel_shards = flags.Has("parallel-shards") ||
+                           sopt.shard_timeout_us > 0 || sopt.hedge_delay_us > 0;
+    rpq::Timer build;
+    b->sharded = rpq::serve::BuildShardedMemoryIndex(base, *b->model, shards,
+                                                     vopt, sopt);
+    std::printf("built %zu shards in %.1fs (%.1f MB resident%s)\n",
+                b->sharded.shards.size(), build.ElapsedSeconds(),
+                b->sharded.MemoryBytes() / 1e6,
+                sopt.parallel_shards ? ", parallel fan-out" : "");
+    b->service = b->sharded.service.get();
+    return rpq::Status::OK();
+  }
+
+  const char* gpath = flags.Get("graph");
+  if (gpath == nullptr) {
+    return rpq::Status::InvalidArgument("--graph is required");
+  }
+  auto g = rpq::graph::ProximityGraph::Load(gpath);
+  if (!g.ok()) return g.status();
+  b->graph = std::move(g.value());
+  if (kind == "disk") {
+    // The disk backend's exact-on-fetch rerank is inherent: --rerank is
+    // ignored and any other requested stage is a flag error.
+    if (rmode != rpq::refine::RerankMode::kAuto &&
+        rmode != rpq::refine::RerankMode::kExact) {
+      return rpq::Status::InvalidArgument(
+          "the disk backend reranks every fetched vector exactly; "
+          "--rerank-mode " +
+          std::string(rpq::refine::RerankModeName(rmode)) +
+          " does not apply");
+    }
+    rpq::disk::DiskIndexOptions dopt;
+    dopt.ssd.transient_error_rate =
+        std::strtod(flags.Get("disk-error-rate", "0"), nullptr);
+    dopt.ssd.latency_spike_rate =
+        std::strtod(flags.Get("disk-spike-rate", "0"), nullptr);
+    dopt.ssd.fault_seed = flags.GetSize("fault-seed", dopt.ssd.fault_seed);
+    dopt.ssd.queue_depth = flags.GetSize("queue-depth", dopt.ssd.queue_depth);
+    dopt.io_width = flags.GetSize("io-width", dopt.io_width);
+    dopt.readahead = flags.GetSize("readahead", dopt.readahead);
+    b->disk = rpq::disk::DiskIndex::Build(base, b->graph, *b->model, dopt);
+    b->owned_service = std::make_unique<rpq::serve::DiskIndexService>(*b->disk);
+    b->service = b->owned_service.get();
+    return rpq::Status::OK();
+  }
+
+  // The memory backend. Its refinement epilogue belongs to --mode fastscan;
+  // --rerank-mode exact implies retained rows.
+  if (rmode != rpq::refine::RerankMode::kAuto &&
+      mode != rpq::core::DistanceMode::kFastScan) {
+    return rpq::Status::InvalidArgument(
+        "--rerank-mode applies to --mode fastscan (the mode with a "
+        "refinement epilogue)");
+  }
+  rpq::core::MemoryIndexOptions mopt;
+  mopt.store_vectors = flags.Has("store-vectors") ||
+                       rmode == rpq::refine::RerankMode::kExact;
+  b->memory = rpq::core::MemoryIndex::Build(base, b->graph, *b->model, mopt);
+  if (mode == rpq::core::DistanceMode::kFastScan) {
+    if (!b->memory->fastscan_capable()) {
+      return rpq::Status::InvalidArgument(
+          "--mode fastscan needs a 4-bit model (train with --nbits 4)");
+    }
+    b->memory->set_fastscan_rerank(flags.GetSize("rerank", 0));
+    b->memory->set_rerank_mode(rmode);
+    if (rmode == rpq::refine::RerankMode::kLinkCode) {
+      // A Link&Code model shaped like the quantizer (same m/K), with its
+      // own least-squares neighbor weights.
+      rpq::Timer lc_timer;
+      rpq::quant::LinkCodeOptions lopt;
+      lopt.pq.m = b->model->num_chunks();
+      lopt.pq.k = b->model->num_centroids();
+      lopt.pq.nbits = lopt.pq.k <= 16 ? 4 : 8;
+      b->linkcode = rpq::quant::LinkCodeIndex::Build(base, b->graph, lopt);
+      b->memory->set_linkcode(b->linkcode.get());
+      std::printf("linkcode model fit in %.1fs\n", lc_timer.ElapsedSeconds());
+    }
+  }
+  b->owned_service =
+      std::make_unique<rpq::serve::MemoryIndexService>(*b->memory, mode);
+  b->service = b->owned_service.get();
+  return rpq::Status::OK();
 }
 
 std::vector<std::string> ParseStringList(const char* s) {
@@ -597,81 +710,6 @@ std::vector<std::string> ParseStringList(const char* s) {
   return out;
 }
 
-// Accumulates --trace output across the search replay: per-query lines for
-// the first few queries, totals for the whole run. Shared by the three
-// backends, but each names its own stat columns — the graph backends report
-// hops / distance evals / visited-table hits, while the IVF backend reports
-// lists probed / codes scanned (a nullptr label drops the column entirely),
-// so the printout no longer overloads graph terms for flat-scan stats.
-struct TraceAccumulator {
-  static constexpr size_t kPerQueryLines = 8;
-  static constexpr size_t kStatColumns = 4;
-
-  // Column labels; the graph default matches SearchStats' field names. The
-  // fourth column is nullptr (dropped) except for the disk backend, which
-  // reports injected latency spikes next to its traversal stats.
-  const char* labels[kStatColumns] = {"hops", "dist", "visited-hits", nullptr};
-
-  rpq::obs::QueryTrace totals;
-  size_t stats[kStatColumns] = {0, 0, 0, 0};
-  size_t queries = 0;
-  std::vector<std::string> lines;
-
-  static TraceAccumulator ForIvf() {
-    TraceAccumulator t;
-    t.labels[0] = "lists-probed";
-    t.labels[1] = "codes-scanned";
-    t.labels[2] = nullptr;  // IVF has no visited table
-    return t;
-  }
-
-  static TraceAccumulator ForDisk() {
-    TraceAccumulator t;
-    t.labels[3] = "spikes";
-    return t;
-  }
-
-  void Note(size_t q, const rpq::obs::QueryTrace& trace, size_t s0, size_t s1,
-            size_t s2, size_t s3 = 0) {
-    ++queries;
-    const size_t row[kStatColumns] = {s0, s1, s2, s3};
-    for (size_t c = 0; c < kStatColumns; ++c) stats[c] += row[c];
-    for (size_t s = 0; s < rpq::obs::kNumStages; ++s) {
-      const auto stage = static_cast<rpq::obs::Stage>(s);
-      const auto& t = trace.total(stage);
-      if (t.spans > 0) totals.AddSpan(stage, t.nanos);
-    }
-    if (q < kPerQueryLines) {
-      char head[128];
-      int off = std::snprintf(head, sizeof(head), "  q%-4zu", q);
-      for (size_t c = 0; c < kStatColumns; ++c) {
-        if (labels[c] == nullptr) continue;
-        off += std::snprintf(head + off, sizeof(head) - off, " %s %-9zu",
-                             labels[c], row[c]);
-      }
-      std::snprintf(head + off, sizeof(head) - off, "  ");
-      lines.push_back(std::string(head) + trace.Format());
-    }
-  }
-
-  void Print() const {
-    if (queries == 0) return;
-    for (const std::string& line : lines) std::printf("%s\n", line.c_str());
-    if (queries > lines.size()) {
-      std::printf("  ... (%zu more queries)\n", queries - lines.size());
-    }
-    const double n = static_cast<double>(queries);
-    std::printf("trace totals (%zu queries): %s\n", queries,
-                totals.Format().c_str());
-    std::printf("stats:");
-    for (size_t c = 0; c < kStatColumns; ++c) {
-      if (labels[c] == nullptr) continue;
-      std::printf("  %s %zu (%.1f/q)", labels[c], stats[c], stats[c] / n);
-    }
-    std::printf("\n");
-  }
-};
-
 std::vector<size_t> ParseSizeList(const char* s) {
   std::vector<size_t> out;
   while (s != nullptr && *s != '\0') {
@@ -682,6 +720,72 @@ std::vector<size_t> ParseSizeList(const char* s) {
     s = *end == ',' ? end + 1 : end;
   }
   return out;
+}
+
+// Mean recall@k of a serial replay's answers against exact ground truth.
+double ReplayRecall(const std::vector<rpq::serve::QueryResult>& out,
+                    const std::vector<std::vector<rpq::Neighbor>>& gt,
+                    size_t k) {
+  std::vector<std::vector<rpq::Neighbor>> results;
+  results.reserve(out.size());
+  for (const rpq::serve::QueryResult& r : out) results.push_back(r.results);
+  return rpq::eval::MeanRecallAtK(results, gt, k);
+}
+
+// Simulated device time per query of a serial replay over the disk backend:
+// its honest I/O number, kept apart from wall-clock QPS. run_serve.sh
+// parses this line into BENCH_serve.json.
+void PrintDiskIo(const Backend& backend,
+                 const std::vector<rpq::serve::QueryResult>& out) {
+  if (backend.disk == nullptr || out.empty()) return;
+  double io_seconds = 0;
+  for (const rpq::serve::QueryResult& r : out) {
+    io_seconds += r.simulated_io_seconds;
+  }
+  std::printf("disk-io us/query = %.1f (simulated, serial replay)\n",
+              io_seconds * 1e6 / static_cast<double>(out.size()));
+}
+
+// The --trace report of a search replay: work stats and stage spans for the
+// first few queries, stage totals over the run, and the per-query rate of
+// every registry counter the replay moved (`moved`). IVF results carry
+// lists probed and codes scanned in the hops and dist slots, and IVF has no
+// visited table, so its columns are labelled for what they count.
+void PrintTrace(const std::vector<rpq::serve::QueryResult>& out,
+                const std::vector<rpq::obs::QueryTrace>& traces, bool ivf,
+                const rpq::obs::WindowedView& moved) {
+  constexpr size_t kPerQueryLines = 8;
+  const char* labels[3] = {ivf ? "lists-probed" : "hops",
+                           ivf ? "codes-scanned" : "dist",
+                           ivf ? nullptr : "visited-hits"};
+  rpq::obs::QueryTrace totals;
+  for (size_t q = 0; q < traces.size(); ++q) {
+    for (size_t s = 0; s < rpq::obs::kNumStages; ++s) {
+      const auto stage = static_cast<rpq::obs::Stage>(s);
+      const auto& t = traces[q].total(stage);
+      if (t.spans > 0) totals.AddSpan(stage, t.nanos);
+    }
+    if (q >= kPerQueryLines) continue;
+    const rpq::graph::SearchStats& st = out[q].stats;
+    const size_t row[3] = {st.hops, st.dist_comps, st.visited_hits};
+    std::printf("  q%-4zu", q);
+    for (size_t c = 0; c < 3; ++c) {
+      if (labels[c] != nullptr) std::printf(" %s %-9zu", labels[c], row[c]);
+    }
+    std::printf("  %s\n", traces[q].Format().c_str());
+  }
+  const size_t n = traces.size();
+  if (n > kPerQueryLines) {
+    std::printf("  ... (%zu more queries)\n", n - kPerQueryLines);
+  }
+  std::printf("trace totals (%zu queries): %s\n", n, totals.Format().c_str());
+  std::printf("counters:");
+  for (const rpq::obs::WindowedCounter& c : moved.counters) {
+    if (c.delta == 0) continue;
+    std::printf("  %s %.1f/q", c.name.c_str(),
+                static_cast<double>(c.delta) / std::max<size_t>(n, 1));
+  }
+  std::printf("\n");
 }
 
 int CmdBuildIvf(const Flags& flags) {
@@ -695,45 +799,23 @@ int CmdBuildIvf(const Flags& flags) {
   // Validate up front: a typo'd --rerank-mode must not silently build an
   // index without the raw rows the intended exact stage needs.
   rpq::refine::RerankMode rmode = rpq::refine::RerankMode::kAuto;
-  if (!GetRerankMode(flags, &rmode)) {
-    return Fail("--rerank-mode must be adc, exact, or linkcode");
-  }
-  auto mode_ok = CheckIvfRerankMode(rmode, nullptr);
+  auto mode_ok = GetRerankMode(flags, &rmode);
   if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-  rpq::Timer timer;
-  std::unique_ptr<rpq::quant::PqQuantizer> model;
-  std::unique_ptr<rpq::ivf::IvfIndex> index;
-  const rpq::ivf::IvfOptions opt = IvfOptionsFrom(flags);
-  if (opt.residual) {
-    // Residual flow: coarse centroids first, then a model trained on the
-    // per-cell residuals; --model is the OUTPUT path for that model (search
-    // and serve-bench load it back next to --ivf).
-    std::vector<float> centroids =
-        rpq::ivf::IvfIndex::TrainCoarse(base.value(), opt);
-    auto trained = TrainResidualModel(base.value(), centroids, flags);
-    if (!trained.ok()) return Fail(trained.status().ToString());
-    model = std::move(trained.value());
-    index = rpq::ivf::IvfIndex::BuildWithCentroids(
-        base.value(), std::move(centroids), *model, opt);
-    auto ms = rpq::quant::SaveQuantizer(*model, mpath);
+  // The residual flow trains its model in-process; --model is then the
+  // OUTPUT path for it (search and serve-bench load it back next to --ivf).
+  const bool residual = flags.Has("residual");
+  Backend b;
+  auto built = BuildIvf(flags, base.value(), residual ? nullptr : mpath,
+                        rmode, &b);
+  if (!built.ok()) return Fail(built.ToString());
+  if (residual) {
+    auto ms = rpq::quant::SaveQuantizer(*b.model, mpath);
     if (!ms.ok()) return Fail(ms.ToString());
     std::printf("trained residual model (m=%zu, K=%zu%s), saved to %s\n",
-                model->num_chunks(), model->num_centroids(),
-                model->split_model() != nullptr ? ", split" : "", mpath);
-  } else {
-    auto loaded = rpq::quant::LoadQuantizer(mpath);
-    if (!loaded.ok()) return Fail(loaded.status().ToString());
-    model = std::move(loaded.value());
-    if (model->num_centroids() > 16 && model->split_model() == nullptr) {
-      return Fail("build-ivf needs a FastScan-capable model: 4-bit "
-                  "(--nbits 4) or split-trained K = 256 (train --split)");
-    }
-    index = rpq::ivf::IvfIndex::Build(base.value(), *model, opt);
+                b.model->num_chunks(), b.model->num_centroids(),
+                b.model->split_model() != nullptr ? ", split" : "", mpath);
   }
-  std::printf("ivf index: %zu lists over %zu vectors in %.1fs (%.1f MB)\n",
-              index->nlist(), index->size(), timer.ElapsedSeconds(),
-              index->MemoryBytes() / 1e6);
-  auto s = index->Save(out);
+  auto s = b.ivf->Save(out);
   if (!s.ok()) return Fail(s.ToString());
   std::printf("saved to %s\n", out);
   return 0;
@@ -742,182 +824,68 @@ int CmdBuildIvf(const Flags& flags) {
 int CmdSearch(const Flags& flags) {
   auto base = LoadBase(flags);
   if (!base.ok()) return Fail(base.status().ToString());
-  std::string index_kind = flags.Get("index", "graph");
-  if (index_kind == "memory") index_kind = "graph";  // alias
-  const bool use_ivf = index_kind == "ivf";
-  const bool use_disk = index_kind == "disk" || flags.Has("hybrid");
-  if (!use_ivf && !use_disk && index_kind != "graph") {
-    return Fail("unknown --index: " + index_kind + " (memory|disk|ivf)");
-  }
-  rpq::refine::RerankMode rmode = rpq::refine::RerankMode::kAuto;
-  if (!GetRerankMode(flags, &rmode)) {
-    return Fail("--rerank-mode must be adc, exact, or linkcode");
-  }
-  const char* gpath = flags.Get("graph");
-  const char* mpath = flags.Get("model");
   const char* qpath = flags.Get("queries");
-  // The IVF backend resolves --model itself (the --residual flow can train
-  // one in-process); the graph backends always need it loaded here.
-  if (qpath == nullptr || (!use_ivf && (mpath == nullptr || gpath == nullptr))) {
-    return Fail(use_ivf ? "--queries is required"
-                        : "--graph, --model, --queries are required");
-  }
-  rpq::graph::ProximityGraph graph;
-  std::unique_ptr<rpq::quant::PqQuantizer> model;
-  if (!use_ivf) {
-    auto g = rpq::graph::ProximityGraph::Load(gpath);
-    if (!g.ok()) return Fail(g.status().ToString());
-    graph = std::move(g.value());
-    auto loaded = rpq::quant::LoadQuantizer(mpath);
-    if (!loaded.ok()) return Fail(loaded.status().ToString());
-    model = std::move(loaded.value());
-  }
+  if (qpath == nullptr) return Fail("--queries is required");
   auto queries = rpq::io::ReadFvecs(qpath);
   if (!queries.ok()) return Fail(queries.status().ToString());
-
-  size_t k = flags.GetSize("k", 10);
-  size_t beam = flags.GetSize("beam", 64);
+  // Every index is built (or loaded) before the timed loop: the printed QPS
+  // covers query work only.
+  Backend backend;
+  auto made = MakeBackend(flags, base.value(), &backend);
+  if (!made.ok()) return Fail(made.ToString());
+  const size_t k = flags.GetSize("k", 10);
+  const size_t nq = queries.value().size();
   auto gt = rpq::ComputeGroundTruth(base.value(), queries.value(), k);
 
-  // The IVF index is assembled (or loaded) before the timed loop, like the
-  // graph artifacts; --sweep-nprobe prints its recall/QPS curve first. The
-  // backend owns the quantizer the index borrows, so both live to the end.
-  std::unique_ptr<rpq::quant::PqQuantizer> ivf_model;
-  std::unique_ptr<rpq::ivf::IvfIndex> ivf_index;
-  rpq::ivf::IvfSearchOptions ivf_opt;
-  if (use_ivf) {
-    // Impossible stages are rejected before the (potentially expensive)
-    // index build; exact-needs-rows is re-checked against the built index.
-    auto mode_ok = CheckIvfRerankMode(rmode, nullptr);
-    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-    auto made = MakeIvfBackend(flags, base.value());
-    if (!made.ok()) return Fail(made.status().ToString());
-    ivf_model = std::move(made.value().model);
-    ivf_index = std::move(made.value().index);
-    mode_ok = CheckIvfRerankMode(rmode, ivf_index.get());
-    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-    ivf_opt.nprobe = flags.GetSize("nprobe", 0);
-    ivf_opt.rerank = flags.GetSize("rerank", 0);
-    ivf_opt.rerank_mode = rmode;
-    if (const char* sweep = flags.Get("sweep-nprobe")) {
-      auto nprobes = ParseSizeList(sweep);
-      if (nprobes.empty()) return Fail("--sweep-nprobe expects n1,n2,...");
-      const rpq::ivf::IvfIndex& ix = *ivf_index;
-      // The sweep axis is nprobe; the refinement request rides inside the
-      // closure so every operating point reranks the same way.
-      const rpq::ivf::IvfSearchOptions base_opt = ivf_opt;
-      rpq::eval::SearchFn fn = [&ix, base_opt](const float* q, size_t kk,
-                                               size_t nprobe) {
-        rpq::ivf::IvfSearchOptions opt = base_opt;
-        opt.nprobe = nprobe;
-        rpq::eval::SearchOutcome out;
-        auto res = ix.Search(q, kk, opt);
-        out.results = std::move(res.results);
-        out.hops = res.stats.lists_probed;
-        return out;
-      };
-      auto curve = rpq::eval::SweepNprobe(fn, queries.value(), gt, k, nprobes);
-      rpq::eval::PrintCurve("ivf", curve);
-      if (const char* csv = flags.Get("sweep-csv")) {
-        auto s = rpq::eval::WriteCurveCsv(csv, "nprobe", curve);
-        if (!s.ok()) return Fail(s.ToString());
-        std::printf("wrote sweep CSV to %s\n", csv);
-      }
+  // --sweep-nprobe prints the IVF recall/QPS curve through the same service.
+  if (const char* sweep = flags.Get("sweep-nprobe");
+      sweep != nullptr && backend.ivf != nullptr) {
+    auto nprobes = ParseSizeList(sweep);
+    if (nprobes.empty()) return Fail("--sweep-nprobe expects n1,n2,...");
+    const rpq::serve::SearchService& service = *backend.service;
+    rpq::eval::SearchFn fn = [&service](const float* q, size_t kk,
+                                        size_t nprobe) {
+      rpq::serve::QueryResult r = service.Search({q, kk, nprobe});
+      return rpq::eval::SearchOutcome{std::move(r.results), r.stats.hops,
+                                      r.simulated_io_seconds};
+    };
+    auto curve =
+        rpq::eval::SweepBeamWidths(fn, queries.value(), gt, k, nprobes);
+    rpq::eval::PrintCurve("ivf", curve);
+    if (const char* csv = flags.Get("sweep-csv")) {
+      auto s = rpq::eval::WriteCurveCsv(csv, "nprobe", curve);
+      if (!s.ok()) return Fail(s.ToString());
+      std::printf("wrote sweep CSV to %s\n", csv);
     }
   }
 
-  // The graph backends are built here, before the timed loop, like the IVF
-  // index above: the printed QPS covers query work only.
-  std::unique_ptr<rpq::disk::DiskIndex> disk_index;
-  rpq::disk::DiskIndexOptions dopt;
-  MemoryBackend backend;
-  if (use_disk) {
-    auto mode_ok = CheckDiskRerankMode(rmode);
-    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-    dopt.ssd.queue_depth = flags.GetSize("queue-depth", dopt.ssd.queue_depth);
-    dopt.io_width = flags.GetSize("io-width", dopt.io_width);
-    dopt.readahead = flags.GetSize("readahead", dopt.readahead);
-    disk_index = rpq::disk::DiskIndex::Build(base.value(), graph, *model, dopt);
-  } else if (!use_ivf) {
-    auto made = MakeMemoryBackend(flags, base.value(), graph, *model, rmode);
-    if (!made.ok()) return Fail(made.status().ToString());
-    backend = std::move(made.value());
-  }
-
-  // --trace: thread a per-query obs::QueryTrace through the backend (also
-  // enabling the registry so the stage histograms fill) and print the
-  // per-stage breakdown + search stats after the replay. The trace lines are
-  // accumulated inside the timed loop, so the QPS on a traced run includes
-  // the (small) tracing overhead — it measures what it ran.
+  // --trace threads a per-query obs::QueryTrace through the service and
+  // enables the registry, whose counters are diffed around the timed loop.
   const bool trace_on = flags.Has("trace");
   if (trace_on) rpq::obs::SetMetricsEnabled(true);
-  TraceAccumulator tacc = use_ivf    ? TraceAccumulator::ForIvf()
-                          : use_disk ? TraceAccumulator::ForDisk()
-                                     : TraceAccumulator{};
+  std::vector<rpq::obs::QueryTrace> traces(trace_on ? nq : 0);
+  const rpq::obs::Snapshot before =
+      trace_on ? rpq::obs::TakeSnapshot() : rpq::obs::Snapshot{};
 
   // QPS is wall clock. The disk backend's simulated device time is never
   // added to it; it is reported on its own disk-io line.
-  std::vector<std::vector<rpq::Neighbor>> results(queries.value().size());
-  double io_seconds = 0;
-  rpq::disk::IoStats io_total;
+  std::vector<rpq::serve::QueryResult> out(nq);
   rpq::Timer timer;
-  if (use_ivf) {
-    for (size_t q = 0; q < queries.value().size(); ++q) {
-      rpq::obs::QueryTrace trace;
-      ivf_opt.trace = trace_on ? &trace : nullptr;
-      auto out = ivf_index->Search(queries.value()[q], k, ivf_opt);
-      results[q] = std::move(out.results);
-      if (trace_on) {
-        tacc.Note(q, trace, out.stats.lists_probed, out.stats.codes_scanned, 0);
-      }
-    }
-  } else if (use_disk) {
-    for (size_t q = 0; q < queries.value().size(); ++q) {
-      rpq::obs::QueryTrace trace;
-      auto out = disk_index->Search(queries.value()[q], k, {beam, k},
-                                    trace_on ? &trace : nullptr);
-      results[q] = std::move(out.results);
-      io_seconds += out.io.simulated_seconds;
-      io_total.reads += out.io.reads;
-      io_total.io_waves += out.io.io_waves;
-      io_total.prefetch_issued += out.io.prefetch_issued;
-      io_total.prefetch_hits += out.io.prefetch_hits;
-      io_total.prefetch_wasted += out.io.prefetch_wasted;
-      if (trace_on) {
-        tacc.Note(q, trace, out.stats.hops, out.stats.dist_comps,
-                  out.stats.visited_hits, out.io.latency_spikes);
-      }
-    }
-  } else {
-    for (size_t q = 0; q < queries.value().size(); ++q) {
-      rpq::obs::QueryTrace trace;
-      auto out = backend.index->Search(queries.value()[q], k, {beam, k},
-                                       backend.mode, {},
-                                       trace_on ? &trace : nullptr);
-      results[q] = std::move(out.results);
-      if (trace_on) {
-        tacc.Note(q, trace, out.stats.hops, out.stats.dist_comps,
-                  out.stats.visited_hits);
-      }
-    }
+  for (size_t q = 0; q < nq; ++q) {
+    rpq::serve::QuerySpec spec{queries.value()[q], k, backend.beam};
+    if (trace_on) spec.trace = &traces[q];
+    out[q] = backend.service->Search(spec);
   }
   const double wall_seconds = timer.ElapsedSeconds();
-  if (use_disk) {
-    const double nq = std::max<double>(1.0, queries.value().size());
-    std::printf(
-        "disk-io us/query = %.1f (simulated; qd %zu, io-width %zu, "
-        "readahead %zu; %.1f reads/q, %.1f waves/q, prefetch %zu issued / "
-        "%zu hits / %zu wasted)\n",
-        io_seconds * 1e6 / nq, dopt.ssd.queue_depth, dopt.io_width,
-        dopt.readahead, io_total.reads / nq, io_total.io_waves / nq,
-        io_total.prefetch_issued, io_total.prefetch_hits,
-        io_total.prefetch_wasted);
+  PrintDiskIo(backend, out);
+  std::printf("queries: %zu  recall@%zu: %.4f  QPS: %.1f (wall clock)\n", nq,
+              k, ReplayRecall(out, gt, k),
+              nq / std::max(wall_seconds, 1e-12));
+  if (trace_on) {
+    PrintTrace(out, traces, backend.ivf != nullptr,
+               rpq::obs::DiffSnapshots(before, rpq::obs::TakeSnapshot(),
+                                       wall_seconds));
   }
-  std::printf("queries: %zu  recall@%zu: %.4f  QPS: %.1f (wall clock)\n",
-              queries.value().size(), k,
-              rpq::eval::MeanRecallAtK(results, gt, k),
-              queries.value().size() / std::max(wall_seconds, 1e-12));
-  if (trace_on) tacc.Print();
 
   if (const char* dump = flags.Get("dump-top1")) {
     // One line per query: the top result's vertex id. Ids (not distances)
@@ -927,11 +895,11 @@ int CmdSearch(const Flags& flags) {
     // differ in the last ulps even when every ranking decision agrees.
     std::FILE* fp = std::fopen(dump, "w");
     if (fp == nullptr) return Fail(std::string("cannot write ") + dump);
-    for (size_t q = 0; q < results.size(); ++q) {
-      if (results[q].empty()) {
+    for (size_t q = 0; q < out.size(); ++q) {
+      if (out[q].results.empty()) {
         std::fprintf(fp, "%zu -\n", q);
       } else {
-        std::fprintf(fp, "%zu %u\n", q, results[q][0].id);
+        std::fprintf(fp, "%zu %u\n", q, out[q].results[0].id);
       }
     }
     std::fclose(fp);
@@ -943,7 +911,6 @@ int CmdSearch(const Flags& flags) {
 int CmdServeBench(const Flags& flags) {
   auto base = LoadBase(flags);
   if (!base.ok()) return Fail(base.status().ToString());
-  const char* mpath = flags.Get("model");
   const char* qpath = flags.Get("queries");
   if (qpath == nullptr) return Fail("--queries is required");
   auto queries = rpq::io::ReadFvecs(qpath);
@@ -951,12 +918,10 @@ int CmdServeBench(const Flags& flags) {
 
   rpq::serve::LoadgenOptions opt;
   opt.k = flags.GetSize("k", 10);
-  opt.beam_width = flags.GetSize("beam", 64);
   opt.threads = flags.GetSize("threads", 4);
   opt.total_queries = flags.GetSize("total", 0);
   opt.batch = flags.GetSize("batch", 0);  // open-loop leg only
   opt.deadline_us = flags.GetSize("deadline-us", 0);
-  const size_t shards = flags.GetSize("shards", 1);
   const double rate = std::strtod(flags.Get("rate", "0"), nullptr);
   // --metrics-json turns the registry on for the whole run (index build
   // included) and writes the snapshot at the end.
@@ -992,172 +957,22 @@ int CmdServeBench(const Flags& flags) {
                 exporter.port());
   }
 
-  // --faults installs a process-wide injection plan (same syntax as the
-  // RPQ_FAULTS environment variable, which it overrides); --fault-seed
-  // replaces just the seed. Installed before the backend is built so the
-  // SSD simulator's own injector merges it in at construction.
-  {
-    rpq::fault::Plan plan = rpq::fault::GlobalInjector().plan();
-    bool have_plan = false;
-    if (const char* spec = flags.Get("faults"); spec != nullptr) {
-      std::string err;
-      if (!rpq::fault::ParsePlan(spec, &plan, &err)) return Fail(err);
-      have_plan = true;
-    }
-    if (flags.Has("fault-seed")) {
-      plan.seed = flags.GetSize("fault-seed", 1);
-      have_plan = true;
-    }
-    if (have_plan) rpq::fault::SetGlobalPlan(plan);
-  }
-  rpq::refine::RerankMode rmode = rpq::refine::RerankMode::kAuto;
-  if (!GetRerankMode(flags, &rmode)) {
-    return Fail("--rerank-mode must be adc, exact, or linkcode");
-  }
-
-  // Assemble the backend: IVF flat-scan, sharded in-memory, hybrid disk, or
-  // single-shard in-memory over a prebuilt graph. --rerank/--rerank-mode
-  // configure the refinement pipeline uniformly across memory|disk|ivf (the
-  // disk backend's exact-on-fetch rerank is inherent, so they are no-ops
-  // there).
-  // Declaration order is destruction order in reverse, and it matters: the
-  // sharded deployment's destructor drains abandoned fan-out tasks that may
-  // still touch the shard backends AND what those borrow (the quantizer, the
-  // graph, the base rows) — so everything borrowed is declared BEFORE the
-  // service objects, outliving them.
-  std::unique_ptr<rpq::quant::PqQuantizer> model;
-  rpq::graph::ProximityGraph graph;
-  std::unique_ptr<rpq::core::MemoryIndex> mem_index;
-  std::unique_ptr<rpq::quant::LinkCodeIndex> linkcode;
-  std::unique_ptr<rpq::disk::DiskIndex> disk_index;
-  std::unique_ptr<rpq::quant::PqQuantizer> ivf_model;
-  std::unique_ptr<rpq::ivf::IvfIndex> ivf_index;
-  std::unique_ptr<rpq::serve::SearchService> owned_service;
-  rpq::serve::ShardedMemoryIndex sharded;
-  const rpq::serve::SearchService* service = nullptr;
-
-  std::string index_kind = flags.Get("index", "graph");
-  if (index_kind == "memory") index_kind = "graph";  // alias
-  const bool use_disk = index_kind == "disk" || flags.Has("hybrid");
-  if (use_disk) index_kind = "graph";
-
-  // Graph backends always need the model loaded here; the IVF backend
-  // resolves --model itself (--residual can train one in-process).
-  if (index_kind != "ivf") {
-    if (mpath == nullptr) return Fail("--model and --queries are required");
-    auto loaded = rpq::quant::LoadQuantizer(mpath);
-    if (!loaded.ok()) return Fail(loaded.status().ToString());
-    model = std::move(loaded.value());
-  }
-  // The sharded deployment builds plain ADC memory shards; flags it cannot
-  // honor must fail loudly, not silently benchmark something else.
-  // (--mode adc is what it serves anyway, so an explicit request passes.)
-  const std::string shard_mode = flags.Get("mode", "adc");
-  if (shards > 1 && index_kind == "graph" &&
-      (use_disk || shard_mode != "adc" || flags.Has("rerank") ||
-       flags.Has("rerank-mode") || flags.Has("store-vectors"))) {
-    return Fail("--shards > 1 serves plain ADC memory shards; --index disk, "
-                "--mode sdc|fastscan, --rerank, --rerank-mode, and "
-                "--store-vectors are not supported there");
-  }
-  if (index_kind == "ivf") {
-    // Impossible stages are rejected before the (potentially expensive)
-    // index build; exact-needs-rows is re-checked against the built index.
-    auto mode_ok = CheckIvfRerankMode(rmode, nullptr);
-    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-    rpq::Timer build;
-    auto made = MakeIvfBackend(flags, base.value());
-    if (!made.ok()) return Fail(made.status().ToString());
-    ivf_model = std::move(made.value().model);
-    ivf_index = std::move(made.value().index);
-    mode_ok = CheckIvfRerankMode(rmode, ivf_index.get());
-    if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-    // For IVF backends the QuerySpec beam_width slot carries nprobe.
-    opt.beam_width = flags.GetSize("nprobe", 8);
-    std::printf("built ivf index: %zu lists, %zu vectors in %.1fs (%.1f MB)\n",
-                ivf_index->nlist(), ivf_index->size(), build.ElapsedSeconds(),
-                ivf_index->MemoryBytes() / 1e6);
-    owned_service = std::make_unique<rpq::serve::IvfService>(
-        *ivf_index, flags.GetSize("rerank", 0), rmode);
-    service = owned_service.get();
-  } else if (shards > 1) {
-    rpq::graph::VamanaOptions vopt;
-    vopt.degree = flags.GetSize("degree", 32);
-    vopt.build_beam = flags.GetSize("build-beam", 64);
-    rpq::serve::ShardedOptions sopt;
-    sopt.parallel_shards = flags.Has("parallel-shards");
-    sopt.shard_timeout_us = flags.GetSize("shard-timeout-us", 0);
-    sopt.hedge_delay_us = flags.GetSize("hedge-us", 0);
-    sopt.injected_stall_us = flags.GetSize("stall-ms", 2) * 1000;
-    // Timeouts and hedging are properties of the parallel fan-out.
-    if (sopt.shard_timeout_us > 0 || sopt.hedge_delay_us > 0) {
-      sopt.parallel_shards = true;
-    }
-    rpq::Timer build;
-    sharded = rpq::serve::BuildShardedMemoryIndex(base.value(), *model,
-                                                  shards, vopt, sopt);
-    std::printf("built %zu shards in %.1fs (%.1f MB resident%s)\n",
-                sharded.shards.size(), build.ElapsedSeconds(),
-                sharded.MemoryBytes() / 1e6,
-                sopt.parallel_shards ? ", parallel fan-out" : "");
-    service = sharded.service.get();
-  } else {
-    const char* gpath = flags.Get("graph");
-    if (gpath == nullptr) return Fail("--graph is required when --shards 1");
-    auto g = rpq::graph::ProximityGraph::Load(gpath);
-    if (!g.ok()) return Fail(g.status().ToString());
-    graph = std::move(g.value());
-    if (use_disk) {
-      auto mode_ok = CheckDiskRerankMode(rmode);
-      if (!mode_ok.ok()) return Fail(mode_ok.ToString());
-      rpq::disk::DiskIndexOptions dopt;
-      dopt.ssd.transient_error_rate =
-          std::strtod(flags.Get("disk-error-rate", "0"), nullptr);
-      dopt.ssd.latency_spike_rate =
-          std::strtod(flags.Get("disk-spike-rate", "0"), nullptr);
-      dopt.ssd.fault_seed = flags.GetSize("fault-seed", 1);
-      dopt.ssd.queue_depth = flags.GetSize("queue-depth", dopt.ssd.queue_depth);
-      dopt.io_width = flags.GetSize("io-width", dopt.io_width);
-      dopt.readahead = flags.GetSize("readahead", dopt.readahead);
-      disk_index =
-          rpq::disk::DiskIndex::Build(base.value(), graph, *model, dopt);
-      owned_service =
-          std::make_unique<rpq::serve::DiskIndexService>(*disk_index);
-    } else {
-      auto made = MakeMemoryBackend(flags, base.value(), graph, *model, rmode);
-      if (!made.ok()) return Fail(made.status().ToString());
-      MemoryBackend backend = std::move(made.value());
-      mem_index = std::move(backend.index);
-      linkcode = std::move(backend.linkcode);
-      owned_service = std::make_unique<rpq::serve::MemoryIndexService>(
-          *mem_index, backend.mode);
-    }
-    service = owned_service.get();
-  }
+  Backend backend;
+  auto made = MakeBackend(flags, base.value(), &backend);
+  if (!made.ok()) return Fail(made.ToString());
+  const rpq::serve::SearchService& service = *backend.service;
+  opt.beam_width = backend.beam;
 
   // Recall sanity line (serial replay, k results against exact GT).
   auto gt = rpq::ComputeGroundTruth(base.value(), queries.value(), opt.k);
-  rpq::serve::ServingEngine serial(*service, {1});
+  rpq::serve::ServingEngine serial(service, {1});
   auto outcomes = serial.SearchAll(queries.value(), opt.k, opt.beam_width);
-  std::vector<std::vector<rpq::Neighbor>> results(outcomes.size());
-  for (size_t q = 0; q < outcomes.size(); ++q) {
-    results[q] = std::move(outcomes[q].results);
-  }
   std::printf("recall@%zu = %.4f (beam %zu, %zu shards)\n", opt.k,
-              rpq::eval::MeanRecallAtK(results, gt, opt.k), opt.beam_width,
-              std::max<size_t>(shards, 1));
-  if (use_disk && !outcomes.empty()) {
-    // Simulated device time per query from the serial replay — the honest
-    // "disk I/O" number (wall-clock QPS above excludes simulated latency).
-    // run_serve.sh parses this line into BENCH_serve.json so bench-diff
-    // gates the async-submission speedup per PR.
-    double io_sum = 0;
-    for (const auto& o : outcomes) io_sum += o.simulated_io_seconds;
-    std::printf("disk-io us/query = %.1f (serial replay)\n",
-                io_sum * 1e6 / static_cast<double>(outcomes.size()));
-  }
+              ReplayRecall(outcomes, gt, opt.k), opt.beam_width,
+              std::max<size_t>(backend.sharded.shards.size(), 1));
+  PrintDiskIo(backend, outcomes);
 
-  auto closed = rpq::serve::RunClosedLoop(*service, queries.value(), opt);
+  auto closed = rpq::serve::RunClosedLoop(service, queries.value(), opt);
   char label[64];
   std::snprintf(label, sizeof(label), "closed-loop x%zu", opt.threads);
   rpq::serve::PrintReport(label, closed);
@@ -1167,7 +982,7 @@ int CmdServeBench(const Flags& flags) {
     eopt.threads = opt.threads;
     eopt.shed_watermark = flags.GetSize("shed", 0);
     eopt.brownout_watermark = flags.GetSize("brownout", 0);
-    rpq::serve::ServingEngine engine(*service, eopt);
+    rpq::serve::ServingEngine engine(service, eopt);
     rpq::serve::LoadgenOptions oopt = opt;
     oopt.arrival_qps = rate;
     auto open = rpq::serve::RunOpenLoop(engine, queries.value(), oopt);
@@ -1178,7 +993,7 @@ int CmdServeBench(const Flags& flags) {
 
   // Shard-wait distribution (fan-out start -> shard result available): the
   // histogram hedge_delay_us / shard_timeout_us should be tuned against.
-  if (rpq::obs::MetricsEnabled() && shards > 1) {
+  if (rpq::obs::MetricsEnabled() && backend.sharded.service != nullptr) {
     const rpq::obs::Snapshot snap = rpq::obs::TakeSnapshot();
     if (const rpq::obs::HistogramSnapshot* waits =
             snap.FindHistogram("serve.shard_wait_ns");
