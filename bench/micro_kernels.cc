@@ -241,7 +241,7 @@ void BM_AdcFastScanSplit(benchmark::State& state) {
                            expanded.data() + i * 2 * m);
   }
   auto packed = quant::PackedCodes::Pack(expanded.data(), d.size(), 2 * m);
-  quant::SplitFastScanTable table(*pq, d[0]);
+  const quant::FastScanTable table = quant::SplitTable(*pq, d[0]);
   const quant::SplitPqModel* model = pq->split_model();
   std::vector<float> cross(d.size());
   for (size_t i = 0; i < d.size(); ++i) {
@@ -294,7 +294,7 @@ void BM_IvfResidualLutBuild(benchmark::State& state) {
     const float* q = d[probe % 128];
     const float* cen = km.centroids.data() + (probe % kopt.k) * d.dim();
     for (size_t j = 0; j < d.dim(); ++j) resq[j] = q[j] - cen[j];
-    quant::SplitFastScanTable table(model, resq.data());
+    const quant::FastScanTable table = quant::SplitTable(model, resq.data());
     benchmark::DoNotOptimize(table.lut8());
     ++probe;
   }

@@ -31,7 +31,8 @@ std::unique_ptr<MemoryIndex> MemoryIndex::Build(
   auto index = std::unique_ptr<MemoryIndex>(new MemoryIndex(graph, quantizer));
   index->codes_ = quantizer.EncodeDataset(base);
   index->dim_ = base.dim();
-  if (options.fastscan_layout && quantizer.num_centroids() <= 16) {
+  if (options.fastscan_layout && quantizer.num_centroids() <= 16 &&
+      quant::FastScanCapable(quantizer)) {
     // 4-bit-capable quantizer: lay out every vertex's neighbor codes as
     // packed FastScan blocks so kFastScan searches score whole expansions
     // with register-resident shuffles.

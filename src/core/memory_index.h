@@ -31,14 +31,15 @@ struct MemorySearchResult {
 /// sides quantized; requires a PQ-family quantizer), or FastScan (4-bit
 /// codes scored through register-resident u8 LUT shuffles, with a
 /// refine::Refiner rerank of the top candidates; requires a quantizer with
-/// K <= 16).
+/// K <= 16 and m <= 256).
 enum class DistanceMode { kAdc, kSdc, kFastScan };
 
 /// Build-time knobs.
 struct MemoryIndexOptions {
   /// Lay out per-vertex packed neighbor blocks for DistanceMode::kFastScan
-  /// when the quantizer is 4-bit capable (K <= 16) — ~deg * m/2 extra bytes
-  /// per vertex; deployments that only search kAdc/kSdc can opt out.
+  /// when the quantizer is 4-bit capable (K <= 16 and
+  /// quant::FastScanCapable) — ~deg * m/2 extra bytes per vertex;
+  /// deployments that only search kAdc/kSdc can opt out.
   bool fastscan_layout = true;
   /// Retain the raw float rows (~4*dim bytes/vector): enables the exact
   /// refinement stage (refine::RerankMode::kExact), lifting the FastScan
@@ -98,7 +99,7 @@ class MemoryIndex {
   const std::vector<uint8_t>& codes() const { return codes_; }
   size_t num_vertices() const { return graph_.num_vertices(); }
 
-  /// True when Build laid out packed neighbor blocks (quantizer K <= 16),
+  /// True when Build laid out packed neighbor blocks (4-bit quantizer),
   /// i.e. DistanceMode::kFastScan is available.
   bool fastscan_capable() const { return fastscan_.has_value(); }
   /// True when Build retained the raw rows (RerankMode::kExact available).

@@ -78,7 +78,8 @@ std::unique_ptr<DiskIndex> DiskIndex::Build(
   }
 
   index->codes_ = quantizer.EncodeDataset(base);
-  if (options.fastscan && quantizer.num_centroids() <= 16) {
+  if (options.fastscan && quantizer.num_centroids() <= 16 &&
+      quant::FastScanCapable(quantizer)) {
     // 4-bit quantizer: keep packed per-vertex neighbor blocks in memory so
     // ADC navigation runs through the FastScan shuffle kernels.
     index->fastscan_ = quant::PackedNeighborBlocks::Build(

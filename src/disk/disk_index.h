@@ -25,9 +25,9 @@ namespace rpq::disk {
 struct DiskIndexOptions {
   SsdOptions ssd;
   /// Route with FastScan shuffle scans when the quantizer is 4-bit capable
-  /// (K <= 16). Navigation only — results are still exact-reranked from the
-  /// fetched full-precision vectors, so this changes hops, not the ranking
-  /// rule of what is returned.
+  /// (K <= 16 and quant::FastScanCapable). Navigation only — results are
+  /// still exact-reranked from the fetched full-precision vectors, so this
+  /// changes hops, not the ranking rule of what is returned.
   bool fastscan = true;
   /// Transient read failures are retried up to this many times before the
   /// hop is abandoned (the node is skipped, traversal continues through the

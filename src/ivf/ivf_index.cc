@@ -35,13 +35,6 @@ constexpr uint32_t kVersion = 3;
 constexpr uint32_t kMinVersion = 1;
 constexpr uint32_t kCrcVersion = 3;
 
-// Every distance estimate in the index flows through a FastScan-capable
-// quantizer: plain 4-bit (K <= 16) or the K = 256 split regime.
-bool FastScanCapable(const quant::VectorQuantizer& quantizer) {
-  return quantizer.num_centroids() <= 16 ||
-         quantizer.split_model() != nullptr;
-}
-
 // q - centroid, the query every residual-regime table is built from.
 inline void ResidualQuery(const float* query, const float* centroid,
                           size_t dim, float* out) {
@@ -124,9 +117,9 @@ std::unique_ptr<IvfIndex> IvfIndex::BuildWithCentroids(
     const quant::VectorQuantizer& quantizer, const IvfOptions& options) {
   RPQ_CHECK(!base.empty());
   RPQ_CHECK_EQ(base.dim(), quantizer.dim());
-  RPQ_CHECK(FastScanCapable(quantizer) &&
+  RPQ_CHECK(quant::FastScanCapable(quantizer) &&
             "IVF FastScan lists need a 4-bit quantizer (K <= 16) or a "
-            "split-trained K = 256 one (quant/split.h)");
+            "split-trained K = 256 one (quant/split.h) within 256 table rows");
   RPQ_CHECK(!centroids.empty() && centroids.size() % base.dim() == 0);
   const size_t nlist = centroids.size() / base.dim();
 
@@ -190,9 +183,9 @@ std::unique_ptr<IvfIndex> IvfIndex::CreateEmpty(
   RPQ_CHECK(dim > 0);
   RPQ_CHECK_EQ(dim, quantizer.dim());
   RPQ_CHECK(!centroids.empty() && centroids.size() % dim == 0);
-  RPQ_CHECK(FastScanCapable(quantizer) &&
+  RPQ_CHECK(quant::FastScanCapable(quantizer) &&
             "IVF FastScan lists need a 4-bit quantizer (K <= 16) or a "
-            "split-trained K = 256 one (quant/split.h)");
+            "split-trained K = 256 one (quant/split.h) within 256 table rows");
   return std::unique_ptr<IvfIndex>(
       new IvfIndex(quantizer, options, dim, std::move(centroids)));
 }
@@ -317,113 +310,16 @@ IvfSearchResult IvfIndex::FinishQuery(const float* query,
   return out;
 }
 
+quant::FastScanTable IvfIndex::TableFor(const float* query) const {
+  if (const quant::SplitPqModel* model = quantizer_.split_model()) {
+    return quant::SplitTable(*model, query);
+  }
+  return quant::FastScanTable(quantizer_, query);
+}
+
 IvfSearchResult IvfIndex::Search(const float* query, size_t k,
                                  const IvfSearchOptions& options) const {
-  thread_local std::vector<uint32_t> probe;
-  thread_local std::vector<uint16_t> sums;
-  {
-    obs::ScopedStage span(obs::Stage::kRoute, options.trace);
-    RouteLists(query, EffectiveNprobe(options), &probe);
-  }
-
-  refine::CandidateBuffer buffer(refine::EffectiveRerankWidth(options.rerank, k));
-  IvfStats stats;
-
-  if (!options_.residual) {
-    if (!split()) {
-      // The float table is computed once and shared between the u8 scan
-      // estimates and the kAdc refinement stage.
-      quant::AdcTable lut(quantizer_, query);
-      quant::FastScanTable table(lut);
-      std::shared_lock<WriterPriorityMutex> lock(mu_);
-      obs::ScopedStage span(obs::Stage::kScan, options.trace);
-      for (uint32_t l : probe) {
-        if (options.deadline.Expired()) {
-          stats.deadline_hit = true;
-          break;
-        }
-        const InvertedList& list = lists_[l];
-        ++stats.lists_probed;
-        if (list.ids.empty()) continue;
-        stats.codes_scanned += list.ids.size();
-        const size_t n_blocks = list.packed.num_blocks();
-        sums.resize(n_blocks * quant::PackedCodes::kBlockCodes);
-        table.ScanBlocks(list.packed.data.data(), n_blocks, sums.data());
-        PushCandidates(table.bias(), table.scale(), sums.data(), nullptr, l,
-                       list.ids.size(), list.ids, &buffer);
-      }
-      return FinishQuery(query, &lut, buffer, k, options.rerank_mode, stats,
-                         options.trace);
-    }
-    // Split, non-residual: one split table serves every cell; the kAdc
-    // rerank (exact float ADC over the materialized 256-word codebook) only
-    // needs the full lut when that stage is actually selected.
-    quant::SplitFastScanTable table(*quantizer_.split_model(), query);
-    std::shared_lock<WriterPriorityMutex> lock(mu_);
-    {
-      obs::ScopedStage span(obs::Stage::kScan, options.trace);
-      for (uint32_t l : probe) {
-      if (options.deadline.Expired()) {
-        stats.deadline_hit = true;
-        break;
-      }
-      const InvertedList& list = lists_[l];
-      ++stats.lists_probed;
-      if (list.ids.empty()) continue;
-      stats.codes_scanned += list.ids.size();
-      const size_t n_blocks = list.packed.num_blocks();
-      sums.resize(n_blocks * quant::PackedCodes::kBlockCodes);
-      table.ScanBlocks(list.packed.data.data(), n_blocks, sums.data());
-      PushCandidates(table.bias(), table.scale(), sums.data(),
-                     list.cross.data(), l, list.ids.size(), list.ids, &buffer);
-      }
-    }
-    const refine::RerankMode resolved =
-        refine::ResolveAutoMode(options.rerank_mode, options_.store_vectors);
-    if (resolved == refine::RerankMode::kAdc) {
-      quant::AdcTable lut(quantizer_, query);
-      return FinishQuery(query, &lut, buffer, k, options.rerank_mode, stats,
-                         options.trace);
-    }
-    return FinishQuery(query, nullptr, buffer, k, options.rerank_mode, stats,
-                     options.trace);
-  }
-
-  // Residual regime: one table per probed cell, built from q - centroid so
-  // every cell's estimates approximate the same || q - x_hat ||^2.
-  thread_local std::vector<float> resq;
-  resq.resize(dim_);
-  std::shared_lock<WriterPriorityMutex> lock(mu_);
-  {
-  obs::ScopedStage span(obs::Stage::kScan, options.trace);
-  for (uint32_t l : probe) {
-    if (options.deadline.Expired()) {
-      stats.deadline_hit = true;
-      break;
-    }
-    const InvertedList& list = lists_[l];
-    ++stats.lists_probed;
-    if (list.ids.empty()) continue;  // skip the LUT build, not just the scan
-    stats.codes_scanned += list.ids.size();
-    ResidualQuery(query, centroids_.data() + size_t{l} * dim_, dim_,
-                  resq.data());
-    const size_t n_blocks = list.packed.num_blocks();
-    sums.resize(n_blocks * quant::PackedCodes::kBlockCodes);
-    if (split()) {
-      quant::SplitFastScanTable table(*quantizer_.split_model(), resq.data());
-      table.ScanBlocks(list.packed.data.data(), n_blocks, sums.data());
-      PushCandidates(table.bias(), table.scale(), sums.data(),
-                     list.cross.data(), l, list.ids.size(), list.ids, &buffer);
-    } else {
-      quant::FastScanTable table(quantizer_, resq.data());
-      table.ScanBlocks(list.packed.data.data(), n_blocks, sums.data());
-      PushCandidates(table.bias(), table.scale(), sums.data(), nullptr, l,
-                     list.ids.size(), list.ids, &buffer);
-    }
-  }
-  }
-  return FinishQuery(query, nullptr, buffer, k, options.rerank_mode, stats,
-                     options.trace);
+  return std::move(SearchBatch(&query, 1, k, options)[0]);
 }
 
 std::vector<IvfSearchResult> IvfIndex::SearchBatch(
@@ -432,45 +328,30 @@ std::vector<IvfSearchResult> IvfIndex::SearchBatch(
   std::vector<IvfSearchResult> out(nq);
   if (nq == 0) return out;
 
-  const refine::RerankMode resolved =
-      refine::ResolveAutoMode(options.rerank_mode, options_.store_vectors);
-  const size_t m = quantizer_.code_size();
-
-  // Shared per-query tables (non-residual regimes), built before any scan
-  // (codebook stays cache-resident — the same amortization
-  // MemoryIndex::SearchBatch does). The residual regime cannot share tables
-  // across cells — each depends on q - centroid — so it builds them per
-  // (list, query) inside the group loop; grouping still amortizes the scan.
-  // `luts` backs the non-residual kAdc refinement stage and is skipped when
-  // the resolved stage will not read it.
+  // Non-residual regimes share one table per query across every probed
+  // cell, built before the lock and before any scan (the codebook stays
+  // cache-resident — the same amortization MemoryIndex::SearchBatch does).
+  // 4-bit tables are quantized from the float AdcTable, which also backs the
+  // kAdc refinement stage; split tables need that table only when kAdc is
+  // the resolved stage. The residual regime cannot share tables across
+  // cells — each depends on q - centroid — so it builds them per
+  // (cell, query) inside the scan.
   std::vector<quant::AdcTable> luts;
   std::vector<quant::FastScanTable> tables;
-  std::vector<quant::SplitFastScanTable> stables;
   if (!options_.residual) {
     obs::ScopedStage span(obs::Stage::kLutBuild, options.trace);
-    if (!split()) {
-      luts.reserve(nq);
-      tables.reserve(nq);
-      for (size_t q = 0; q < nq; ++q) {
-        luts.emplace_back(quantizer_, queries[q]);
-        tables.emplace_back(luts.back());
-      }
-    } else {
-      stables.reserve(nq);
-      for (size_t q = 0; q < nq; ++q) {
-        stables.emplace_back(*quantizer_.split_model(), queries[q]);
-      }
-      if (resolved == refine::RerankMode::kAdc) {
-        luts.reserve(nq);
-        for (size_t q = 0; q < nq; ++q) {
-          luts.emplace_back(quantizer_, queries[q]);
-        }
-      }
+    const bool need_lut =
+        !split() || refine::ResolveAutoMode(options.rerank_mode,
+                                            options_.store_vectors) ==
+                        refine::RerankMode::kAdc;
+    if (need_lut) luts.reserve(nq);
+    tables.reserve(nq);
+    for (size_t q = 0; q < nq; ++q) {
+      if (need_lut) luts.emplace_back(quantizer_, queries[q]);
+      tables.push_back(split() ? TableFor(queries[q])
+                               : quant::FastScanTable(luts.back()));
     }
   }
-  // u8 LUT row stride: 4-bit tables pad odd m to even; split tables carry
-  // 2m interleaved nibble rows.
-  const size_t m2 = split() ? 2 * m : m + (m % 2);
 
   const size_t limit = refine::EffectiveRerankWidth(options.rerank, k);
   std::vector<refine::CandidateBuffer> buffers;
@@ -481,12 +362,14 @@ std::vector<IvfSearchResult> IvfIndex::SearchBatch(
   std::shared_lock<WriterPriorityMutex> lock(mu_);
   const size_t nprobe = EffectiveNprobe(options);
 
-  // Invert the routing into sorted (list, query) pairs — nq*nprobe of them,
-  // grouped by list with one sort — so every probed list is scanned once
-  // against all of its queries' LUTs. (A per-list bucket array would cost
-  // nlist allocations per call and dominate small batches.) Scan scratch is
-  // thread-local like Search's, so steady-state batches allocate only their
-  // per-query state (tables, heaps, results).
+  // Invert the routing into (list, query) pairs — nq*nprobe of them, grouped
+  // by list with one sort — so every probed list is scanned once against
+  // all of its queries' LUTs. (A per-list bucket array would cost nlist
+  // allocations per call and dominate small batches.) A single query's
+  // cells are distinct, so it skips the sort and keeps its nearest-first
+  // probe order: a deadline then cuts its farthest cells. Scan scratch is
+  // thread-local, so steady-state calls allocate only their per-query state
+  // (tables, heaps, results).
   thread_local std::vector<std::pair<uint32_t, uint32_t>> pairs;
   pairs.clear();
   pairs.reserve(nq * nprobe);
@@ -498,14 +381,12 @@ std::vector<IvfSearchResult> IvfIndex::SearchBatch(
       for (uint32_t l : probe) pairs.emplace_back(l, static_cast<uint32_t>(q));
     }
   }
-  std::sort(pairs.begin(), pairs.end());
+  if (nq > 1) std::sort(pairs.begin(), pairs.end());
 
   thread_local std::vector<uint8_t> luts_buf;
   thread_local std::vector<uint16_t> sums;
   thread_local std::vector<float> resq;
-  // Residual per-group scratch: the tables for this (cell, queries) group.
-  std::vector<quant::FastScanTable> group_tables;
-  std::vector<quant::SplitFastScanTable> group_stables;
+  std::vector<quant::FastScanTable> cell_tables;  // residual: this cell's
   {
   obs::ScopedStage span(obs::Stage::kScan, options.trace);
   for (size_t p0 = 0; p0 < pairs.size();) {
@@ -523,7 +404,7 @@ std::vector<IvfSearchResult> IvfIndex::SearchBatch(
     const size_t group = p1 - p0;
     const InvertedList& list = lists_[l];
     for (size_t i = p0; i < p1; ++i) ++stats[pairs[i].second].lists_probed;
-    if (list.ids.empty()) {
+    if (list.ids.empty()) {  // skip the residual table builds, not just the scan
       p0 = p1;
       continue;
     }
@@ -531,85 +412,39 @@ std::vector<IvfSearchResult> IvfIndex::SearchBatch(
       stats[pairs[i].second].codes_scanned += list.ids.size();
     }
 
+    // The group's tables: each query's shared one, or in the residual
+    // regime this cell's, built from q - centroid.
+    if (options_.residual) {
+      resq.resize(dim_);
+      const float* centroid = centroids_.data() + size_t{l} * dim_;
+      cell_tables.clear();
+      for (size_t i = p0; i < p1; ++i) {
+        ResidualQuery(queries[pairs[i].second], centroid, dim_, resq.data());
+        cell_tables.push_back(TableFor(resq.data()));
+      }
+    }
+    auto table = [&](size_t i) -> const quant::FastScanTable& {
+      return options_.residual ? cell_tables[i] : tables[pairs[p0 + i].second];
+    };
+
+    // One scan of the cell's blocks for the whole group: the multi-query
+    // kernel keeps each packed block register-resident across the group's
+    // LUTs (and hands a group of one to the single-query kernel).
+    const size_t m2 = list.packed.m2;
+    luts_buf.resize(group * m2 * 16);
+    for (size_t i = 0; i < group; ++i) {
+      std::memcpy(luts_buf.data() + i * m2 * 16, table(i).lut8(), m2 * 16);
+    }
     const size_t n_blocks = list.packed.num_blocks();
     const size_t stride = n_blocks * quant::PackedCodes::kBlockCodes;
     sums.resize(group * stride);
-
-    if (options_.residual) {
-      // Build this cell's tables from q - centroid for every grouped query,
-      // then scan the cell's blocks ONCE for all of them — the LUT-build
-      // cost is per (query, cell) either way, but grouping keeps each packed
-      // block register-resident across the whole group.
-      resq.resize(dim_);
-      const float* centroid = centroids_.data() + size_t{l} * dim_;
-      group_tables.clear();
-      group_stables.clear();
-      luts_buf.resize(group * m2 * 16);
-      for (size_t i = 0; i < group; ++i) {
-        const uint32_t q = pairs[p0 + i].second;
-        ResidualQuery(queries[q], centroid, dim_, resq.data());
-        const uint8_t* lut8;
-        if (split()) {
-          group_stables.emplace_back(*quantizer_.split_model(), resq.data());
-          lut8 = group_stables.back().lut8();
-        } else {
-          group_tables.emplace_back(quantizer_, resq.data());
-          lut8 = group_tables.back().lut8();
-        }
-        std::memcpy(luts_buf.data() + i * m2 * 16, lut8, m2 * 16);
-      }
-      if (split()) {
-        simd::AdcFastScanSplitMulti(luts_buf.data(), group, m,
-                                    list.packed.data.data(), n_blocks,
-                                    sums.data());
-      } else {
-        simd::AdcFastScanMulti(luts_buf.data(), group, m2,
-                               list.packed.data.data(), n_blocks, sums.data());
-      }
-      for (size_t i = 0; i < group; ++i) {
-        const uint32_t q = pairs[p0 + i].second;
-        const float bias =
-            split() ? group_stables[i].bias() : group_tables[i].bias();
-        const float scale =
-            split() ? group_stables[i].scale() : group_tables[i].scale();
-        PushCandidates(bias, scale, sums.data() + i * stride,
-                       split() ? list.cross.data() : nullptr, l,
-                       list.ids.size(), list.ids, &buffers[q]);
-      }
-      p0 = p1;
-      continue;
-    }
-
-    if (group == 1) {
-      const uint32_t q = pairs[p0].second;
-      if (split()) {
-        stables[q].ScanBlocks(list.packed.data.data(), n_blocks, sums.data());
-      } else {
-        tables[q].ScanBlocks(list.packed.data.data(), n_blocks, sums.data());
-      }
-    } else {
-      luts_buf.resize(group * m2 * 16);
-      for (size_t i = 0; i < group; ++i) {
-        const uint32_t q = pairs[p0 + i].second;
-        std::memcpy(luts_buf.data() + i * m2 * 16,
-                    split() ? stables[q].lut8() : tables[q].lut8(), m2 * 16);
-      }
-      if (split()) {
-        simd::AdcFastScanSplitMulti(luts_buf.data(), group, m,
-                                    list.packed.data.data(), n_blocks,
-                                    sums.data());
-      } else {
-        simd::AdcFastScanMulti(luts_buf.data(), group, m2,
-                               list.packed.data.data(), n_blocks, sums.data());
-      }
-    }
+    simd::AdcFastScanMulti(luts_buf.data(), group, m2, list.packed.data.data(),
+                           n_blocks, sums.data());
     for (size_t i = 0; i < group; ++i) {
-      const uint32_t q = pairs[p0 + i].second;
-      const float bias = split() ? stables[q].bias() : tables[q].bias();
-      const float scale = split() ? stables[q].scale() : tables[q].scale();
-      PushCandidates(bias, scale, sums.data() + i * stride,
+      PushCandidates(table(i).bias(), table(i).scale(),
+                     sums.data() + i * stride,
                      split() ? list.cross.data() : nullptr, l, list.ids.size(),
-                     list.ids, &buffers[q]);
+                     list.ids, &buffers[pairs[p0 + i].second]);
     }
     p0 = p1;
   }
@@ -702,7 +537,7 @@ Result<std::unique_ptr<IvfIndex>> IvfIndex::Load(
     return Status::IOError(path + ": invalid index shape");
   }
   if (dim != quantizer.dim() || code_size != quantizer.code_size() ||
-      (quantizer.num_centroids() > 16 && quantizer.split_model() == nullptr)) {
+      !quant::FastScanCapable(quantizer)) {
     return Status::InvalidArgument(path +
                                    ": quantizer does not match saved index");
   }

@@ -14,15 +14,20 @@
 // Two quality upgrades compose on top of the 4-bit flat regime, both staying
 // on the shuffle-kernel path:
 //   * K = 256 split tables — a split-trained quantizer (quant/split.h)
-//     stores full 8-bit codes whose blocks the 4-bit kernels score as two
-//     nibble planes (simd::AdcFastScanSplit, 2x the per-code cost), plus one
-//     stored float per vector for the query-independent cross term.
+//     stores full 8-bit codes whose blocks are the 4-bit layout of the
+//     nibble-expanded code, so the same kernels score them through a 2m-row
+//     quant::SplitTable (2x the per-code cost), plus one stored float per
+//     vector for the query-independent cross term.
 //   * Residual IVFADC (IvfOptions.residual) — codes quantize x - centroid
 //     of the owning cell, and each probed cell gets its own lookup table
 //     built from q - centroid, so estimates approximate the same
 //     || q - x_hat ||^2 across cells. The per-probed-cell LUT build is the
 //     price of the sharper codes (see BM_IvfResidualLutBuild); SearchBatch
 //     still scans each cell's blocks once for all queries probing it.
+// All four {plain, residual} x {4-bit, split} regimes score a cell through
+// one quant::FastScanTable per query probing it and one
+// simd::AdcFastScanMulti call: SearchBatch has a single per-cell scan body,
+// and Search is a batch of one.
 //
 // Compared to the graph indexes this trades hops for scans: recall is
 // controlled by nprobe instead of beam width, inserts are O(m) list appends
@@ -105,9 +110,10 @@ struct IvfSearchResult {
   IvfStats stats;
 };
 
-/// Inverted-file index over a borrowed FastScan-capable quantizer: either
-/// 4-bit (K <= 16) or split-trained K = 256 (quant::PqQuantizer with a
-/// SplitPqModel attached).
+/// Inverted-file index over a borrowed FastScan-capable quantizer
+/// (quant::FastScanCapable): either 4-bit (K <= 16, m <= 256) or
+/// split-trained K = 256 (quant::PqQuantizer with a SplitPqModel attached,
+/// m <= 128).
 class IvfIndex {
  public:
   /// Trains the coarse quantizer on `base`, encodes every row, and fills the
@@ -139,15 +145,19 @@ class IvfIndex {
   /// no graph repair; safe to interleave with concurrent Search calls.
   uint32_t Insert(const float* vec);
 
+  /// One query: SearchBatch of one. Its cells are probed nearest first, so
+  /// a deadline cuts the farthest ones.
   IvfSearchResult Search(const float* query, size_t k,
                          const IvfSearchOptions& options = {}) const;
 
   /// Serves nq queries in one pass with multi-query LUT batching: queries
   /// are routed first, then each probed list is scanned ONCE against all the
   /// queries that routed to it (simd::AdcFastScanMulti keeps every packed
-  /// block register-resident across their LUTs). Results are identical to
-  /// per-query Search — candidate sums are bit-identical and selection is a
-  /// strict (distance, id) order, so grouping cannot change top-k.
+  /// block register-resident across their LUTs). One scan body serves all
+  /// four regimes; only where a cell's tables come from differs (per query,
+  /// or per (cell, query) in the residual regime). Results are identical to
+  /// per-query searches — candidate sums are bit-identical and selection is
+  /// a strict (distance, id) order, so grouping cannot change top-k.
   std::vector<IvfSearchResult> SearchBatch(
       const float* const* queries, size_t nq, size_t k,
       const IvfSearchOptions& options = {}) const;
@@ -169,20 +179,21 @@ class IvfIndex {
 
   /// Persists centroids, options, and list contents (not the quantizer —
   /// pair with quant::SaveQuantizer, as MemoryIndex deployments do).
-  /// Format (little-endian), version 2:
+  /// Format (little-endian), version 3, written atomically (temp + rename):
   ///   magic "RPQI" | u32 version | u32 dim | u32 nlist | u32 code_size
   ///   | u8 store_vectors | u8 residual | u32 default_nprobe | u64 num_codes
   ///   | centroids f32[nlist*dim]
   ///   | per list: u64 count | u32 ids[count] | u8 codes[count*code_size]
   ///               | f32 vectors[count*dim] (iff store_vectors)
-  /// Version 1 (no residual byte, residual = false) loads unchanged. The
-  /// packed blocks and the split cross constants are rebuilt from the codes
-  /// at load time, so the on-disk list payload is layout-independent.
+  ///   | u32 CRC32 over every preceding byte
+  /// Versions 1 (no residual byte: residual = false) and 2 still load,
+  /// without the trailer check. The packed blocks and the split cross constants
+  /// are rebuilt from the codes at load time, so the on-disk list payload is
+  /// layout-independent.
   Status Save(const std::string& path) const;
 
   /// Loads an index written by Save; `quantizer` must match the saved shape
-  /// (code_size, and FastScan-capable: K <= 16 or split) and is borrowed
-  /// like in Build.
+  /// (code_size, and quant::FastScanCapable) and is borrowed like in Build.
   static Result<std::unique_ptr<IvfIndex>> Load(
       const std::string& path, const quant::VectorQuantizer& quantizer);
 
@@ -205,8 +216,13 @@ class IvfIndex {
            size_t dim, std::vector<float> centroids);
 
   /// True when the borrowed quantizer is split-trained (K = 256 scored
-  /// through the split kernels; lists carry expanded blocks + cross).
+  /// through 2m-row tables; lists carry expanded blocks + cross).
   bool split() const { return quantizer_.split_model() != nullptr; }
+
+  /// The u8 table for one query (or one residual q - centroid): a 2m-row
+  /// quant::SplitTable for a split quantizer, a 4-bit FastScanTable
+  /// otherwise.
+  quant::FastScanTable TableFor(const float* query) const;
 
   size_t EffectiveNprobe(const IvfSearchOptions& options) const;
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <thread>
 
 #include "common/logging.h"
 
@@ -17,7 +18,12 @@ namespace {
 // other thread's cacheline is touched on the hot path.
 struct ThreadShard {
   std::array<std::atomic<uint64_t>, kMaxCounters> counters{};
+  // A histogram's buckets, sum and max change together, so a reader needs
+  // them from one moment: `seq` is a sequence counter the owner makes odd
+  // before it writes and even after (HistWrite), and ReadHist re-reads
+  // until it sees the same even value on both sides of its copy.
   struct HistShard {
+    std::atomic<uint64_t> seq{0};
     std::array<std::atomic<uint64_t>, kNumBuckets> buckets{};
     std::atomic<uint64_t> sum{0};
     std::atomic<uint64_t> max{0};
@@ -26,9 +32,46 @@ struct ThreadShard {
   ThreadShard* next = nullptr;  // intrusive live list, guarded by Registry mu
 };
 
-inline void ShardAdd(std::atomic<uint64_t>& slot, uint64_t delta) {
-  slot.store(slot.load(std::memory_order_relaxed) + delta,
-             std::memory_order_relaxed);
+inline void ShardAdd(std::atomic<uint64_t>& slot, uint64_t delta,
+                     std::memory_order order = std::memory_order_relaxed) {
+  slot.store(slot.load(std::memory_order_relaxed) + delta, order);
+}
+
+// Seqlock write side, run by the owning thread only. `write` stores the
+// histogram's slots with release order, so a reader whose acquire load sees
+// one of them also sees the odd `seq` stored before it.
+template <typename Fn>
+inline void HistWrite(ThreadShard::HistShard& h, Fn&& write) {
+  const uint64_t seq = h.seq.load(std::memory_order_relaxed);
+  h.seq.store(seq + 1, std::memory_order_relaxed);
+  write();
+  h.seq.store(seq + 2, std::memory_order_release);
+}
+
+inline void HistMax(ThreadShard::HistShard& h, uint64_t value) {
+  if (value > h.max.load(std::memory_order_relaxed)) {
+    h.max.store(value, std::memory_order_release);
+  }
+}
+
+// Seqlock read side: one shard's histogram as of a single moment between
+// its owner's writes.
+HistogramData ReadHist(const ThreadShard::HistShard& h) {
+  HistogramData out;
+  for (;;) {
+    const uint64_t seq = h.seq.load(std::memory_order_acquire);
+    if ((seq & 1) == 0) {
+      out = HistogramData();
+      for (uint32_t b = 0; b < kNumBuckets; ++b) {
+        out.buckets[b] = h.buckets[b].load(std::memory_order_acquire);
+        out.count += out.buckets[b];
+      }
+      out.sum = h.sum.load(std::memory_order_acquire);
+      out.max = h.max.load(std::memory_order_acquire);
+      if (h.seq.load(std::memory_order_relaxed) == seq) return out;
+    }
+    std::this_thread::yield();  // the owner is mid-write
+  }
 }
 
 class Registry {
@@ -66,16 +109,7 @@ class Registry {
       retired_counters_[i] += shard->counters[i].load(std::memory_order_relaxed);
     }
     for (size_t h = 0; h < kMaxHistograms; ++h) {
-      auto& dst = retired_histograms_[h];
-      const auto& src = shard->histograms[h];
-      for (uint32_t b = 0; b < kNumBuckets; ++b) {
-        const uint64_t n = src.buckets[b].load(std::memory_order_relaxed);
-        dst.buckets[b] += n;
-        dst.count += n;
-      }
-      dst.sum += src.sum.load(std::memory_order_relaxed);
-      const uint64_t m = src.max.load(std::memory_order_relaxed);
-      if (m > dst.max) dst.max = m;
+      retired_histograms_[h].Merge(ReadHist(shard->histograms[h]));
     }
     ThreadShard** p = &live_;
     while (*p != nullptr && *p != shard) p = &(*p)->next;
@@ -102,16 +136,7 @@ class Registry {
             s->counters[i].load(std::memory_order_relaxed);
       }
       for (size_t h = 0; h < histogram_names_.size(); ++h) {
-        HistogramData& dst = snap.histograms[h].data;
-        const auto& src = s->histograms[h];
-        for (uint32_t b = 0; b < kNumBuckets; ++b) {
-          const uint64_t n = src.buckets[b].load(std::memory_order_relaxed);
-          dst.buckets[b] += n;
-          dst.count += n;
-        }
-        dst.sum += src.sum.load(std::memory_order_relaxed);
-        const uint64_t m = src.max.load(std::memory_order_relaxed);
-        if (m > dst.max) dst.max = m;
+        snap.histograms[h].data.Merge(ReadHist(s->histograms[h]));
       }
     }
     return snap;
@@ -228,23 +253,25 @@ void Add(CounterId id, uint64_t delta) {
 void Record(HistogramId id, uint64_t value) {
   if (!MetricsEnabled()) return;
   auto& h = LocalShard()->histograms[id];
-  ShardAdd(h.buckets[BucketIndexFor(value)], 1);
-  ShardAdd(h.sum, value);
-  if (value > h.max.load(std::memory_order_relaxed)) {
-    h.max.store(value, std::memory_order_relaxed);
-  }
+  HistWrite(h, [&] {
+    ShardAdd(h.buckets[BucketIndexFor(value)], 1, std::memory_order_release);
+    ShardAdd(h.sum, value, std::memory_order_release);
+    HistMax(h, value);
+  });
 }
 
 void MergeInto(HistogramId id, const HistogramData& data) {
   if (!MetricsEnabled() || data.count == 0) return;
   auto& h = LocalShard()->histograms[id];
-  for (uint32_t b = 0; b < kNumBuckets; ++b) {
-    if (data.buckets[b] != 0) ShardAdd(h.buckets[b], data.buckets[b]);
-  }
-  ShardAdd(h.sum, data.sum);
-  if (data.max > h.max.load(std::memory_order_relaxed)) {
-    h.max.store(data.max, std::memory_order_relaxed);
-  }
+  HistWrite(h, [&] {
+    for (uint32_t b = 0; b < kNumBuckets; ++b) {
+      if (data.buckets[b] != 0) {
+        ShardAdd(h.buckets[b], data.buckets[b], std::memory_order_release);
+      }
+    }
+    ShardAdd(h.sum, data.sum, std::memory_order_release);
+    HistMax(h, data.max);
+  });
 }
 
 const CounterSnapshot* Snapshot::FindCounter(const std::string& name) const {

@@ -25,6 +25,12 @@ inline void PackCode(const uint8_t* code, size_t m, uint8_t* block,
 
 }  // namespace
 
+bool FastScanCapable(const VectorQuantizer& quantizer) {
+  const size_t m = quantizer.num_chunks();
+  if (quantizer.split_model() != nullptr) return 2 * m <= 256;
+  return quantizer.num_centroids() <= 16 && m <= 256;
+}
+
 PackedCodes PackedCodes::Pack(const uint8_t* codes, size_t n,
                               size_t code_size) {
   RPQ_CHECK(code_size > 0 && code_size <= 256);

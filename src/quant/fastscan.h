@@ -29,6 +29,13 @@
 
 namespace rpq::quant {
 
+/// The one FastScan capability rule: a quantizer's codes can be scored
+/// through u8 shuffle tables when they are 4-bit (K <= 16, m table rows) or
+/// K = 256 split-trained (quant/split.h, 2m rows), and the rows fit the
+/// 256-row cap FastScanTable and PackedCodes share. Graph neighbor blocks
+/// hold 4-bit codes only, so graph callers also require K <= 16.
+bool FastScanCapable(const VectorQuantizer& quantizer);
+
 /// Flat array of 4-bit codes in the blocked, transposed FastScan layout.
 struct PackedCodes {
   static constexpr size_t kBlockCodes = 32;  ///< codes per block

@@ -102,14 +102,26 @@ Result<std::unique_ptr<PqQuantizer>> LoadQuantizer(const std::string& path) {
   if (dim == 0 || m == 0 || k == 0 || k > 256 || dim % m != 0) {
     return Status::IOError(path + ": invalid model shape");
   }
+  uint8_t has_split = 0;
+  if (is_split && !r.Read(&has_split, 1)) {
+    return Status::IOError(path + ": truncated header");
+  }
+  if (is_split && (has_split == 0 || has_rot != 0 || k != 256)) {
+    return Status::IOError(path + ": invalid split model header");
+  }
+  // Bound every size the header declares by what the file can hold BEFORE
+  // allocating from it, as LoadCodes does: a hostile dim must surface as
+  // IOError, not as std::bad_alloc inside a Codebook or the rotation. Sizes
+  // are in floats; k * dim < 2^41 and dim * dim < 2^64 cannot overflow.
+  const long long bytes_left = io::BytesRemaining(f.get());
+  const uint64_t book_floats = uint64_t{is_split ? 2 * 16u : k} * dim;
+  const uint64_t rot_floats = has_rot != 0 ? uint64_t{dim} * dim : 0;
+  const uint64_t avail =
+      bytes_left > 0 ? static_cast<uint64_t>(bytes_left) / sizeof(float) : 0;
+  if (book_floats > avail || rot_floats > avail - book_floats) {
+    return Status::IOError(path + ": header sizes exceed file contents");
+  }
   if (is_split) {
-    uint8_t has_split = 0;
-    if (!r.Read(&has_split, 1)) {
-      return Status::IOError(path + ": truncated header");
-    }
-    if (has_split == 0 || has_rot != 0 || k != 256) {
-      return Status::IOError(path + ": invalid split model header");
-    }
     Codebook a(m, 16, dim / m);
     Codebook b(m, 16, dim / m);
     if (!r.Read(a.data(), a.num_floats() * sizeof(float)) ||

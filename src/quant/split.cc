@@ -26,10 +26,12 @@ Codebook MaterializeProduct(const Codebook& a, const Codebook& b) {
   return product;
 }
 
+}  // namespace
+
 // The interleaved 2m x 16 float table of the exact decomposition: row 2j =
 // v_j (level-2, low nibble), row 2j+1 = u_j (level-1, high nibble).
-FastScanTable BuildSplitTable(const SplitPqModel& model,
-                              const float* rotated_query) {
+FastScanTable SplitTable(const SplitPqModel& model,
+                         const float* rotated_query) {
   const size_t m = model.num_chunks(), sub = model.sub_dim();
   std::vector<float> table(2 * m * 16);
   for (size_t j = 0; j < m; ++j) {
@@ -44,18 +46,14 @@ FastScanTable BuildSplitTable(const SplitPqModel& model,
   return FastScanTable(table.data(), 2 * m, 16);
 }
 
-FastScanTable BuildFromQuantizer(const PqQuantizer& quantizer,
-                                 const float* query) {
+FastScanTable SplitTable(const PqQuantizer& quantizer, const float* query) {
   const SplitPqModel* model = quantizer.split_model();
   RPQ_CHECK(model != nullptr &&
-            "SplitFastScanTable needs a split-trained quantizer "
-            "(TrainSplitPq)");
+            "SplitTable needs a split-trained quantizer (TrainSplitPq)");
   std::vector<float> rot(quantizer.dim());
   quantizer.Rotate(query, rot.data());
-  return BuildSplitTable(*model, rot.data());
+  return SplitTable(*model, rot.data());
 }
-
-}  // namespace
 
 void SplitPqModel::PrecomputeCross() {
   const size_t m = num_chunks(), sub = sub_dim();
@@ -93,6 +91,8 @@ std::unique_ptr<PqQuantizer> TrainSplitPq(const Dataset& train,
   RPQ_CHECK(options.nbits == 8 && options.effective_k() == 256 &&
             "the split regime is K = 256 under 8-bit codes; plain 4-bit "
             "FastScan already covers K <= 16");
+  RPQ_CHECK(options.m <= 128 &&
+            "split tables have 2m u8 rows and FastScan caps rows at 256");
   const size_t n = train.size(), dim = train.dim(), sub = dim / options.m;
   Codebook a(options.m, 16, sub);
   Codebook b(options.m, 16, sub);
@@ -127,19 +127,6 @@ std::unique_ptr<PqQuantizer> TrainSplitPq(const Dataset& train,
                 16 * sub * sizeof(float));
   }
   return MakeSplitQuantizer(std::move(a), std::move(b));
-}
-
-SplitFastScanTable::SplitFastScanTable(const PqQuantizer& quantizer,
-                                       const float* query)
-    : m_(quantizer.num_chunks()), fs_(BuildFromQuantizer(quantizer, query)) {}
-
-SplitFastScanTable::SplitFastScanTable(const SplitPqModel& model,
-                                       const float* rotated_query)
-    : m_(model.num_chunks()), fs_(BuildSplitTable(model, rotated_query)) {}
-
-void SplitFastScanTable::ScanBlocks(const uint8_t* packed, size_t n_blocks,
-                                    uint16_t* sums) const {
-  simd::AdcFastScanSplit(fs_.lut8(), m_, packed, n_blocks, sums);
 }
 
 }  // namespace rpq::quant

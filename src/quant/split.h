@@ -18,10 +18,11 @@
 //     v_j[b] = || q_j - B[b] ||^2 - || q_j ||^2 (low-nibble  LUT row 2j)
 //     cross_j[c] = 2 <A[c >> 4], B[c & 15]>     (query-INDEPENDENT)
 //
-// so a query needs only a 2m x 16 u8 table (SplitFastScanTable), scanned by
-// simd::AdcFastScanSplit over blocks whose rows are the raw 8-bit code bytes
-// — byte-identical to PackedCodes on the nibble-expanded code (low nibble =
-// B, high nibble = A), which is why every SIMD backend scores it with the
+// so a query needs only a 2m x 16 u8 table (SplitTable: a 2m-row
+// FastScanTable), scanned by simd::AdcFastScan at m2 = 2m over the
+// PackedCodes layout of the nibble-expanded code (ExpandSplitCode: low
+// nibble = B, high nibble = A). Each 32-byte block row then holds the raw
+// 8-bit code bytes of one chunk, and every SIMD backend scores it with the
 // same pshufb/tbl kernels at exactly 2x the 4-bit per-code cost. The
 // query-independent cross term folds into ONE float per stored vector
 // (SplitPqModel::CrossSum at encode time), added after DecodeSum.
@@ -71,7 +72,8 @@ struct SplitPqModel {
 /// Trains the split regime on `train`: per chunk, level-1 k-means (16 words)
 /// then level-2 k-means on the residuals, materialized as a 256-word product
 /// codebook with the SplitPqModel attached. Requires nbits == 8 with
-/// K = 256 (the default); plain 4-bit FastScan covers K <= 16.
+/// K = 256 (the default); plain 4-bit FastScan covers K <= 16. Requires
+/// m <= 128, so the 2m-row table fits FastScan's 256-row cap.
 std::unique_ptr<PqQuantizer> TrainSplitPq(const Dataset& train,
                                           const PqOptions& options);
 
@@ -91,54 +93,21 @@ inline void ExpandSplitCode(const uint8_t* code, size_t m, uint8_t* out) {
   }
 }
 
-/// Query-time state for the split regime: the interleaved 2m x 16 u8 table
-/// (built from the exact u/v decomposition above) plus the affine map back
-/// to float. Estimates need the stored per-vector cross constant:
+/// The split regime's query-time table: an ordinary FastScanTable with 2m
+/// rows (row 2j = v_j for the low nibble, row 2j+1 = u_j for the high
+/// nibble), scanned at m2 = 2m by the same simd::AdcFastScan[Multi] kernels
+/// as any 4-bit table. A code's estimate is
 ///
-///   distance ~= DecodeSum(raw u16 sum) + cross_sum[i]
+///   Distance(expanded code) + SplitPqModel::CrossSum(code)
 ///
-/// |estimate - float ADC| <= ErrorBound() exactly as in the 4-bit path (the
-/// cross term is carried in float, so it adds no rounding error).
-class SplitFastScanTable {
- public:
-  /// Builds for one original-space query (applies the quantizer's rotation).
-  /// The quantizer must be split-trained (split_model() != null).
-  SplitFastScanTable(const PqQuantizer& quantizer, const float* query);
-  /// Builds directly from the model and an already-rotated query — the IVF
-  /// residual path hands in q - centroid without a quantizer round-trip.
-  SplitFastScanTable(const SplitPqModel& model, const float* rotated_query);
+/// over the ExpandSplitCode output, and |estimate - float ADC| stays within
+/// ErrorBound() as in the 4-bit path (the cross term is carried in float, so
+/// it adds no rounding error). This overload takes an already-rotated query —
+/// the IVF residual path hands in q - centroid directly.
+FastScanTable SplitTable(const SplitPqModel& model, const float* rotated_query);
 
-  size_t num_chunks() const { return m_; }  ///< m (code bytes per vector)
-  const uint8_t* lut8() const { return fs_.lut8(); }
-  float bias() const { return fs_.bias(); }
-  float scale() const { return fs_.scale(); }
-
-  /// Maps a raw kernel sum to the float estimate, EXCLUDING the per-vector
-  /// cross constant — callers add it (see Distance).
-  float DecodeSum(uint32_t sum) const { return fs_.DecodeSum(sum); }
-
-  /// Worst-case |estimate - float ADC| from u8 rounding (2m LUT rows).
-  float ErrorBound() const { return fs_.ErrorBound(); }
-
-  /// Estimate for one unpacked m-byte code + its stored cross constant; the
-  /// integer sum matches the blocked kernels bit-for-bit.
-  float Distance(const uint8_t* code, float cross_sum) const {
-    const uint8_t* lut = fs_.lut8();
-    uint32_t sum = 0;
-    for (size_t j = 0; j < m_; ++j) {
-      sum += lut[(2 * j) * 16 + (code[j] & 0x0f)];
-      sum += lut[(2 * j + 1) * 16 + (code[j] >> 4)];
-    }
-    return fs_.DecodeSum(sum) + cross_sum;
-  }
-
-  /// Raw u16 sums for n_blocks split-layout blocks (32 sums per block).
-  void ScanBlocks(const uint8_t* packed, size_t n_blocks,
-                  uint16_t* sums) const;
-
- private:
-  size_t m_;
-  FastScanTable fs_;  // 2m interleaved rows sharing one scale/bias
-};
+/// Same, for one original-space query: applies the quantizer's rotation
+/// first. The quantizer must be split-trained (split_model() != null).
+FastScanTable SplitTable(const PqQuantizer& quantizer, const float* query);
 
 }  // namespace rpq::quant

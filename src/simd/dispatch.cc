@@ -45,10 +45,10 @@ double TimeAdcKernel(decltype(KernelOps::adc_batch) kernel) {
 // x86 generations, so rather than guessing from CPUID, race the backend's
 // gather-based ADC kernels against the unrolled scalar ones once at startup
 // and keep the winner. Both accumulate in identical order, so the choice
-// never changes results. The FastScan shuffle kernels — the 4-bit family and
-// the split-table (K = 256) family, which delegates to it — are deliberately
-// NOT calibrated: pshufb/tbl are single-uop fast on every generation that
-// has them, so the vector implementations always stay.
+// never changes results. The FastScan shuffle kernels (which also score the
+// K = 256 split tables, at twice the rows) are deliberately NOT calibrated:
+// pshufb/tbl are single-uop fast on every generation that has them, so the
+// vector implementations always stay.
 KernelOps CalibrateAdc(KernelOps ops) {
   const KernelOps& scalar = internal::ScalarKernels();
   if (ops.adc_batch == scalar.adc_batch) return ops;

@@ -69,26 +69,6 @@ struct KernelOps {
   void (*adc_fastscan_multi)(const uint8_t* luts8, size_t nq, size_t m2,
                              const uint8_t* packed, size_t n_blocks,
                              uint16_t* out);
-
-  /// Split-table FastScan (K = 256 scored as two 4-bit planes, see
-  /// quant/split.h): `packed` blocks carry FULL 8-bit codes — row j, byte i
-  /// is code i's byte for chunk j — and `lut8` is a 2m x 16 table where row
-  /// 2j scores chunk j's low nibble and row 2j+1 its high nibble:
-  ///   out[b*32+i] = sum_j lut8[(2j)*16 + (c_j & 15)] + lut8[(2j+1)*16 + (c_j >> 4)]
-  /// A split block is byte-identical to PackedCodes on the nibble-expanded
-  /// code with m2 = 2m, so this IS adc_fastscan at twice the row count —
-  /// SIMD backends delegate to their 4-bit kernel (same shuffles, two LUT
-  /// rows per byte row) and stay bit-identical to the scalar reference.
-  /// m <= 128 keeps 2m within the layout's m2 <= 256 overflow contract.
-  void (*adc_fastscan_split)(const uint8_t* lut8, size_t m,
-                             const uint8_t* packed, size_t n_blocks,
-                             uint16_t* out);
-
-  /// Multi-query split FastScan: nq contiguous 2m x 16 tables, query-major
-  /// u16 sums — the adc_fastscan_multi batching contract on split blocks.
-  void (*adc_fastscan_split_multi)(const uint8_t* luts8, size_t nq, size_t m,
-                                   const uint8_t* packed, size_t n_blocks,
-                                   uint16_t* out);
 };
 
 namespace internal {

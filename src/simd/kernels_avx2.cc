@@ -372,22 +372,6 @@ void AdcFastScanMultiAvx2(const uint8_t* luts8, size_t nq, size_t m2,
   }
 }
 
-// Split tables reuse the 4-bit kernels unchanged: a split block's full-byte
-// rows are byte-identical to the nibble-expanded layout with m2 = 2m (low
-// nibble = LUT row 2j, high nibble = row 2j+1), so delegating keeps the
-// shuffle path and the bit-exactness for free. m <= 128 lands exactly on
-// the kernel's kMaxRows register budget.
-void AdcFastScanSplitAvx2(const uint8_t* lut8, size_t m, const uint8_t* packed,
-                          size_t n_blocks, uint16_t* out) {
-  AdcFastScanAvx2(lut8, 2 * m, packed, n_blocks, out);
-}
-
-void AdcFastScanSplitMultiAvx2(const uint8_t* luts8, size_t nq, size_t m,
-                               const uint8_t* packed, size_t n_blocks,
-                               uint16_t* out) {
-  AdcFastScanMultiAvx2(luts8, nq, 2 * m, packed, n_blocks, out);
-}
-
 }  // namespace
 
 namespace internal {
@@ -397,7 +381,6 @@ const KernelOps& Avx2Kernels() {
       "avx2",          SquaredL2Avx2, DotAvx2,      SquaredNormAvx2,
       L2ToManyAvx2,    AdcBatchAvx2,  AdcBatchGatherAvx2,
       AdcFastScanAvx2, AdcFastScanMultiAvx2,
-      AdcFastScanSplitAvx2, AdcFastScanSplitMultiAvx2,
   };
   return ops;
 }

@@ -338,21 +338,6 @@ RPQ_BW_TARGET void AdcFastScanMultiAvx512(const uint8_t* luts8, size_t nq,
   }
 }
 
-// Split tables delegate to the 4-bit kernels with m2 = 2m — the split block
-// layout is byte-identical to the nibble-expanded one (see kernels.h), so
-// the 512-bit shuffle path and the bit-exactness carry over unchanged.
-RPQ_BW_TARGET void AdcFastScanSplitAvx512(const uint8_t* lut8, size_t m,
-                                          const uint8_t* packed,
-                                          size_t n_blocks, uint16_t* out) {
-  AdcFastScanAvx512(lut8, 2 * m, packed, n_blocks, out);
-}
-
-RPQ_BW_TARGET void AdcFastScanSplitMultiAvx512(const uint8_t* luts8, size_t nq,
-                                               size_t m, const uint8_t* packed,
-                                               size_t n_blocks, uint16_t* out) {
-  AdcFastScanMultiAvx512(luts8, nq, 2 * m, packed, n_blocks, out);
-}
-
 #endif  // RPQ_HAVE_AVX512BW_KERNEL (GNUC/clang target attribute)
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -385,8 +370,6 @@ const KernelOps& Avx512Kernels() {
     if (CpuHasAvx512bw()) {
       o.adc_fastscan = AdcFastScanAvx512;
       o.adc_fastscan_multi = AdcFastScanMultiAvx512;
-      o.adc_fastscan_split = AdcFastScanSplitAvx512;
-      o.adc_fastscan_split_multi = AdcFastScanSplitMultiAvx512;
     }
 #endif
     (void)CpuHasAvx512bw;

@@ -210,20 +210,6 @@ void AdcFastScanMultiNeon(const uint8_t* luts8, size_t nq, size_t m2,
   }
 }
 
-// Split tables delegate to the 4-bit kernels with m2 = 2m — the split block
-// layout is byte-identical to the nibble-expanded one (see kernels.h), so
-// the tbl shuffle path and the bit-exactness carry over unchanged.
-void AdcFastScanSplitNeon(const uint8_t* lut8, size_t m, const uint8_t* packed,
-                          size_t n_blocks, uint16_t* out) {
-  AdcFastScanNeon(lut8, 2 * m, packed, n_blocks, out);
-}
-
-void AdcFastScanSplitMultiNeon(const uint8_t* luts8, size_t nq, size_t m,
-                               const uint8_t* packed, size_t n_blocks,
-                               uint16_t* out) {
-  AdcFastScanMultiNeon(luts8, nq, 2 * m, packed, n_blocks, out);
-}
-
 }  // namespace
 
 namespace internal {
@@ -238,8 +224,6 @@ const KernelOps& NeonKernels() {
     o.l2_to_many = L2ToManyNeon;
     o.adc_fastscan = AdcFastScanNeon;
     o.adc_fastscan_multi = AdcFastScanMultiNeon;
-    o.adc_fastscan_split = AdcFastScanSplitNeon;
-    o.adc_fastscan_split_multi = AdcFastScanSplitMultiNeon;
     return o;
   }();
   return ops;

@@ -134,39 +134,6 @@ void AdcFastScanMultiScalar(const uint8_t* luts8, size_t nq, size_t m2,
   }
 }
 
-// Split-table reference: block rows hold FULL 8-bit codes (one row per
-// chunk) and each byte indexes two 16-entry LUT rows — low nibble into row
-// 2j, high nibble into row 2j+1. Structurally this is AdcFastScanScalar on
-// the nibble-expanded layout (m2 = 2m); it is written out as its own loop so
-// the equivalence every SIMD backend's delegation relies on is pinned by an
-// independent reference, not by the thing being tested.
-void AdcFastScanSplitScalar(const uint8_t* lut8, size_t m,
-                            const uint8_t* packed, size_t n_blocks,
-                            uint16_t* out) {
-  for (size_t b = 0; b < n_blocks; ++b) {
-    const uint8_t* block = packed + b * m * 32;
-    uint16_t* o = out + b * 32;
-    for (size_t i = 0; i < 32; ++i) o[i] = 0;
-    const uint8_t* lut = lut8;
-    for (size_t j = 0; j < m; ++j, lut += 32) {
-      const uint8_t* row = block + j * 32;
-      for (size_t i = 0; i < 32; ++i) {
-        o[i] = static_cast<uint16_t>(o[i] + lut[row[i] & 0x0f] +
-                                     lut[16 + (row[i] >> 4)]);
-      }
-    }
-  }
-}
-
-void AdcFastScanSplitMultiScalar(const uint8_t* luts8, size_t nq, size_t m,
-                                 const uint8_t* packed, size_t n_blocks,
-                                 uint16_t* out) {
-  for (size_t q = 0; q < nq; ++q) {
-    AdcFastScanSplitScalar(luts8 + q * 2 * m * 16, m, packed, n_blocks,
-                           out + q * n_blocks * 32);
-  }
-}
-
 }  // namespace
 
 namespace internal {
@@ -176,7 +143,6 @@ const KernelOps& ScalarKernels() {
       "scalar",          SquaredL2Scalar, DotScalar,
       SquaredNormScalar, L2ToManyScalar,  AdcBatchScalar,
       AdcBatchGatherScalar, AdcFastScanScalar, AdcFastScanMultiScalar,
-      AdcFastScanSplitScalar, AdcFastScanSplitMultiScalar,
   };
   return ops;
 }

@@ -74,22 +74,4 @@ inline void AdcFastScanMulti(const uint8_t* luts8, size_t nq, size_t m2,
   Ops().adc_fastscan_multi(luts8, nq, m2, packed, n_blocks, out);
 }
 
-/// Split-table FastScan (K = 256 via two 4-bit planes): full-byte block rows
-/// scored against a 2m x 16 u8 LUT (row 2j = chunk j's low nibble, row 2j+1
-/// = high nibble); raw u16 sums, bit-identical across backends. See
-/// kernels.h for the layout equivalence and quant/split.h for the tables.
-inline void AdcFastScanSplit(const uint8_t* lut8, size_t m,
-                             const uint8_t* packed, size_t n_blocks,
-                             uint16_t* out) {
-  Ops().adc_fastscan_split(lut8, m, packed, n_blocks, out);
-}
-
-/// Multi-query split FastScan: nq contiguous 2m x 16 LUTs, query-major sums,
-/// bit-identical to nq single-query AdcFastScanSplit calls.
-inline void AdcFastScanSplitMulti(const uint8_t* luts8, size_t nq, size_t m,
-                                  const uint8_t* packed, size_t n_blocks,
-                                  uint16_t* out) {
-  Ops().adc_fastscan_split_multi(luts8, nq, m, packed, n_blocks, out);
-}
-
 }  // namespace rpq::simd

@@ -388,14 +388,17 @@ TEST(SplitFastScanTableTest, EstimateWithinBoundOfFloatAdc) {
   auto pq = quant::TrainSplitPq(train, opt);
   ASSERT_NE(pq->split_model(), nullptr);
   ASSERT_EQ(pq->num_centroids(), 256u);
-  std::vector<uint8_t> code(pq->code_size());
+  const size_t m = pq->code_size();
+  std::vector<uint8_t> code(m), expanded(2 * m);
   for (size_t q = 0; q < 4; ++q) {
-    quant::SplitFastScanTable table(*pq, train[q]);
+    const quant::FastScanTable table = quant::SplitTable(*pq, train[q]);
+    ASSERT_EQ(table.num_chunks(), 2 * m);
     quant::AdcTable lut(*pq, train[q]);  // float ADC over the product book
     for (size_t i = 100; i < 130; ++i) {
       pq->Encode(train[i], code.data());
+      quant::ExpandSplitCode(code.data(), m, expanded.data());
       const float cross = pq->split_model()->CrossSum(code.data());
-      const float est = table.Distance(code.data(), cross);
+      const float est = table.Distance(expanded.data()) + cross;
       const float exact = lut.Distance(code.data());
       // ErrorBound covers the u8 rounding; the small relative slack covers
       // float summation-order differences between the u/v/cross split and
@@ -406,8 +409,9 @@ TEST(SplitFastScanTableTest, EstimateWithinBoundOfFloatAdc) {
   }
 }
 
-// Blocked split scans must be bit-identical to the per-code Distance(): the
-// packed layout of nibble-expanded codes feeds the same integer sums.
+// Blocked split scans (the 4-bit kernel at m2 = 2m) must be bit-identical
+// to the per-code estimate: the packed layout of nibble-expanded codes feeds
+// the same integer sums.
 TEST(SplitFastScanTableTest, BlockedScanMatchesSingleCodeBitExactly) {
   Dataset train = synthetic::MakeSiftLike(500, 12);
   quant::PqOptions opt;
@@ -425,14 +429,14 @@ TEST(SplitFastScanTableTest, BlockedScanMatchesSingleCodeBitExactly) {
                              expanded.data() + i * 2 * m);
     }
     auto packed = quant::PackedCodes::Pack(expanded.data(), n, 2 * m);
-    quant::SplitFastScanTable table(*pq, train[0]);
+    const quant::FastScanTable table = quant::SplitTable(*pq, train[0]);
     std::vector<uint16_t> sums(packed.num_blocks() *
                                quant::PackedCodes::kBlockCodes);
     table.ScanBlocks(packed.data.data(), packed.num_blocks(), sums.data());
     for (size_t i = 0; i < n; ++i) {
       const float cross = pq->split_model()->CrossSum(codes.data() + i * m);
       ASSERT_EQ(table.DecodeSum(sums[i]) + cross,
-                table.Distance(codes.data() + i * m, cross))
+                table.Distance(expanded.data() + i * 2 * m) + cross)
           << "n=" << n << " i=" << i;
     }
   }

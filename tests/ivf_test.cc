@@ -37,16 +37,22 @@ struct Fixture {
 };
 
 Fixture MakeFixture(size_t n = 1333, size_t nq = 12, size_t nlist = 13,
-                    bool store_vectors = false, size_t m = 16) {
+                    bool store_vectors = false, size_t m = 16,
+                    bool split = false) {
   // n and nlist are chosen so list lengths straddle 32-code block tails.
   Fixture f;
   synthetic::MakeBaseAndQueries("sift", n, nq, /*seed=*/21, &f.base,
                                 &f.queries);
   quant::PqOptions popt;
   popt.m = m;
-  popt.nbits = 4;
   popt.kmeans_iters = 4;
-  f.pq = quant::PqQuantizer::Train(f.base, popt);
+  if (split) {
+    popt.nbits = 8;  // K = 256 via the split tables
+    f.pq = quant::TrainSplitPq(f.base, popt);
+  } else {
+    popt.nbits = 4;
+    f.pq = quant::PqQuantizer::Train(f.base, popt);
+  }
   ivf::IvfOptions opt;
   opt.nlist = nlist;
   opt.kmeans_iters = 8;
@@ -114,42 +120,67 @@ ResFixtureResult MakeResidualFixture(bool split, size_t n = 1333,
 }
 
 // Reference implementation mirroring the index's contract with scalar code
-// only: route by (centroid distance, list id), estimate every code of the
-// probed lists with FastScanTable::Distance (bit-identical to the blocked
-// kernels), keep the top `rerank` by (estimate, id), re-score, top-k.
-std::vector<Neighbor> ReferenceSearch(const Fixture& f, const float* query,
+// only, in all four {plain, residual} x {4-bit, split} regimes: route by
+// (centroid distance, list id), estimate every code of the probed lists with
+// FastScanTable::Distance (bit-identical to the blocked kernels) — for split
+// codes on the ExpandSplitCode output plus the code's CrossSum, and in the
+// residual regime with a table built from q - centroid per probed cell —
+// keep the top `rerank` by (estimate, id), re-score with the float-ADC
+// stage (decode + centroid add in the residual regime), top-k.
+std::vector<Neighbor> ReferenceSearch(const ivf::IvfIndex& ix,
+                                      const quant::PqQuantizer& pq,
+                                      const Dataset& base, const float* query,
                                       size_t k, size_t nprobe, size_t rerank) {
-  const ivf::IvfIndex& ix = *f.index;
-  const size_t nlist = ix.nlist();
+  const size_t nlist = ix.nlist(), dim = base.dim();
   nprobe = std::min(nprobe, nlist);
   std::vector<float> d2(nlist);
-  simd::L2ToMany(query, ix.centroids().data(), nlist, f.base.dim(), d2.data());
+  simd::L2ToMany(query, ix.centroids().data(), nlist, dim, d2.data());
   std::vector<uint32_t> order(nlist);
   for (uint32_t l = 0; l < nlist; ++l) order[l] = l;
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return d2[a] < d2[b] || (d2[a] == d2[b] && a < b);
   });
+  auto centroid = [&](uint32_t l) {
+    return ix.centroids().data() + size_t{l} * dim;
+  };
 
-  // Probed rows, identified by re-encoding each base row (Build encodes the
-  // same way, so codes agree).
-  quant::AdcTable lut(*f.pq, query);
-  quant::FastScanTable fast(lut);
-  const size_t m = f.pq->code_size();
-  auto codes = f.pq->EncodeDataset(f.base);
-  std::vector<uint32_t> assign(f.base.size());
-  for (size_t i = 0; i < f.base.size(); ++i) {
-    assign[i] = quant::NearestCentroid(f.base[i], ix.centroids().data(), nlist,
-                                       f.base.dim());
+  // Probed rows, identified by re-encoding each base row — its offset from
+  // its own cell's centroid in the residual regime — as Build does, so
+  // codes agree.
+  const size_t m = pq.code_size();
+  auto codes = pq.EncodeDataset(ix.residual() ? ResidualsOf(base, ix.centroids())
+                                              : base);
+  std::vector<uint32_t> assign(base.size());
+  for (size_t i = 0; i < base.size(); ++i) {
+    assign[i] =
+        quant::NearestCentroid(base[i], ix.centroids().data(), nlist, dim);
   }
+  const quant::SplitPqModel* split = pq.split_model();
+  std::vector<uint8_t> expanded(2 * m);
+  auto estimate = [&](const quant::FastScanTable& table, const uint8_t* code) {
+    if (split == nullptr) return table.Distance(code);
+    quant::ExpandSplitCode(code, m, expanded.data());
+    return table.Distance(expanded.data()) + split->CrossSum(code);
+  };
   struct Est {
     float est;
     uint32_t id;
   };
   std::vector<Est> cands;
+  std::vector<float> resq(dim);
   for (size_t p = 0; p < nprobe; ++p) {
-    for (size_t i = 0; i < f.base.size(); ++i) {
-      if (assign[i] != order[p]) continue;
-      cands.push_back({fast.Distance(codes.data() + i * m),
+    const uint32_t l = order[p];
+    const float* q = query;
+    if (ix.residual()) {
+      for (size_t d = 0; d < dim; ++d) resq[d] = query[d] - centroid(l)[d];
+      q = resq.data();
+    }
+    const quant::FastScanTable table = split != nullptr
+                                           ? quant::SplitTable(pq, q)
+                                           : quant::FastScanTable(pq, q);
+    for (size_t i = 0; i < base.size(); ++i) {
+      if (assign[i] != l) continue;
+      cands.push_back({estimate(table, codes.data() + i * m),
                        static_cast<uint32_t>(i)});
     }
   }
@@ -157,9 +188,18 @@ std::vector<Neighbor> ReferenceSearch(const Fixture& f, const float* query,
     return a.est < b.est || (a.est == b.est && a.id < b.id);
   });
   if (cands.size() > rerank) cands.resize(rerank);
+  quant::AdcTable lut(pq, query);
+  std::vector<float> recon(dim);
   TopK top(k);
   for (const Est& c : cands) {
-    top.Push(lut.Distance(codes.data() + size_t{c.id} * m), c.id);
+    const uint8_t* code = codes.data() + size_t{c.id} * m;
+    if (!ix.residual()) {
+      top.Push(lut.Distance(code), c.id);
+      continue;
+    }
+    pq.Decode(code, recon.data());
+    for (size_t d = 0; d < dim; ++d) recon[d] += centroid(assign[c.id])[d];
+    top.Push(simd::SquaredL2(query, recon.data(), dim), c.id);
   }
   return top.Take();
 }
@@ -169,19 +209,45 @@ std::vector<Neighbor> ReferenceSearch(const Fixture& f, const float* query,
 // The acceptance bar: the index's routed, kernel-scanned, reranked result
 // equals the scalar hand-rolled reference exactly — candidate estimates are
 // bit-identical, so ranking decisions are too (runs under both dispatched
-// SIMD and RPQ_DISABLE_SIMD=1 in CI).
+// SIMD and RPQ_DISABLE_SIMD=1 in CI). Every regime runs through the one
+// scan body, so each is pinned, for single queries and for a batch whose
+// cells are shared across queries. A rerank width of k keeps exactly the
+// top-k estimates, so any estimate error near the cut changes the answer;
+// the auto width (32) covers the default path.
 TEST(IvfIndexTest, SearchMatchesProbedListReferenceExactly) {
-  Fixture f = MakeFixture();
-  for (size_t nprobe : {size_t(1), size_t(3), size_t(7), size_t(13),
-                        size_t(50) /* > nlist: clamped */}) {
-    for (size_t q = 0; q < f.queries.size(); ++q) {
-      ivf::IvfSearchOptions opt;
-      opt.nprobe = nprobe;
-      auto got = f.index->Search(f.queries[q], 10, opt);
-      auto want = ReferenceSearch(f, f.queries[q], 10, nprobe, /*rerank=*/32);
-      ASSERT_EQ(got.results, want) << "nprobe=" << nprobe << " q=" << q;
-      EXPECT_EQ(got.stats.lists_probed, std::min(nprobe, f.index->nlist()));
+  auto check = [](const char* regime, const ivf::IvfIndex& index,
+                  const quant::PqQuantizer& pq, const Dataset& base,
+                  const Dataset& queries) {
+    std::vector<const float*> ptrs;
+    for (size_t q = 0; q < queries.size(); ++q) ptrs.push_back(queries[q]);
+    for (size_t rerank : {size_t(0), size_t(10)}) {
+      for (size_t nprobe : {size_t(1), size_t(3), size_t(7), size_t(13),
+                            size_t(50) /* > nlist: clamped */}) {
+        ivf::IvfSearchOptions opt;
+        opt.nprobe = nprobe;
+        opt.rerank = rerank;
+        auto batch = index.SearchBatch(ptrs.data(), ptrs.size(), 10, opt);
+        for (size_t q = 0; q < queries.size(); ++q) {
+          auto got = index.Search(queries[q], 10, opt);
+          auto want = ReferenceSearch(index, pq, base, queries[q], 10, nprobe,
+                                      rerank == 0 ? 32 : rerank);
+          ASSERT_EQ(got.results, want) << regime << " rerank=" << rerank
+                                       << " nprobe=" << nprobe << " q=" << q;
+          ASSERT_EQ(batch[q].results, want)
+              << regime << " batch rerank=" << rerank << " nprobe=" << nprobe
+              << " q=" << q;
+          EXPECT_EQ(got.stats.lists_probed, std::min(nprobe, index.nlist()));
+        }
+      }
     }
+  };
+  for (bool split : {false, true}) {
+    Fixture f = MakeFixture(1333, 12, 13, /*store_vectors=*/false, 16, split);
+    check(split ? "plain split" : "plain 4-bit", *f.index, *f.pq, f.base,
+          f.queries);
+    ResFixtureResult r = MakeResidualFixture(split);
+    check(split ? "residual split" : "residual 4-bit", *r.index, *r.model,
+          r.base, r.queries);
   }
 }
 
@@ -237,6 +303,44 @@ TEST(IvfIndexTest, ExactRerankLiftsRecallPastFloatAdc) {
   }
   opt.rerank_mode = refine::RerankMode::kExact;
   EXPECT_EQ(recall_of(fexact), exact);
+}
+
+// A single query keeps its nearest-first probe order, so a deadline cuts
+// its farthest cells: however many cells it reached before expiry, every
+// result comes from its lists_probed nearest ones. The sweep of budgets
+// lands some cuts mid-scan; the property must hold for every cut.
+TEST(IvfIndexTest, DeadlineCutsASingleQuerysFarthestCells) {
+  Fixture f = MakeFixture(4000, 6, 64);
+  const ivf::IvfIndex& ix = *f.index;
+  const size_t dim = f.base.dim();
+  std::vector<uint32_t> assign(f.base.size());
+  for (size_t i = 0; i < f.base.size(); ++i) {
+    assign[i] =
+        quant::NearestCentroid(f.base[i], ix.centroids().data(), 64, dim);
+  }
+  for (size_t q = 0; q < f.queries.size(); ++q) {
+    std::vector<float> d2(64);
+    simd::L2ToMany(f.queries[q], ix.centroids().data(), 64, dim, d2.data());
+    std::vector<uint32_t> order(64);
+    for (uint32_t l = 0; l < 64; ++l) order[l] = l;
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return d2[a] < d2[b] || (d2[a] == d2[b] && a < b);
+    });
+    for (uint64_t us : {1, 2, 5, 10, 20, 50, 100, 1000000}) {
+      ivf::IvfSearchOptions opt;
+      opt.nprobe = 64;
+      opt.deadline = Deadline::AfterMicros(us);
+      const auto r = ix.Search(f.queries[q], 10, opt);
+      const size_t probed = r.stats.lists_probed;
+      EXPECT_EQ(r.stats.deadline_hit, probed < 64) << "us=" << us;
+      for (const Neighbor& n : r.results) {
+        EXPECT_NE(std::find(order.begin(), order.begin() + probed,
+                            assign[n.id]),
+                  order.begin() + probed)
+            << "q=" << q << " us=" << us << " probed=" << probed;
+      }
+    }
+  }
 }
 
 // The shared auto-rerank rule (refine::EffectiveRerankWidth) governs how
@@ -627,6 +731,34 @@ TEST(IvfIndexTest, LoadRejectsWideQuantizerWithoutSplitModel) {
   auto wide = quant::PqQuantizer::Train(f.base, popt);
   ASSERT_EQ(wide->split_model(), nullptr);
   EXPECT_FALSE(ivf::IvfIndex::Load(path, *wide).ok());
+  std::remove(path.c_str());
+}
+
+// The capability rule caps u8 table rows at 256, so a split model past
+// m = 128 (2m rows) cannot serve a matching file: Load must refuse it rather
+// than abort while repacking the lists at 2m rows.
+TEST(IvfIndexTest, LoadRejectsSplitModelPastRowCap) {
+  synthetic::GmmOptions gopt;
+  gopt.dim = 160;
+  gopt.num_clusters = 4;
+  gopt.intrinsic_dim = 8;
+  Dataset base = synthetic::MakeGmm(200, gopt, 5);
+  quant::PqOptions popt;
+  popt.m = 160;  // 4-bit: 160 rows, within the cap
+  popt.nbits = 4;
+  popt.kmeans_iters = 2;
+  auto four = quant::PqQuantizer::Train(base, popt);
+  ivf::IvfOptions opt;
+  opt.nlist = 4;
+  auto index = ivf::IvfIndex::Build(base, *four, opt);
+  std::string path = testing::TempDir() + "/ivf_m160.bin";
+  ASSERT_TRUE(index->Save(path).ok());
+  // Same dim and code size, but split: 320 rows.
+  auto split = quant::MakeSplitQuantizer(quant::Codebook(160, 16, 1),
+                                         quant::Codebook(160, 16, 1));
+  EXPECT_FALSE(quant::FastScanCapable(*split));
+  EXPECT_FALSE(ivf::IvfIndex::Load(path, *split).ok());
+  EXPECT_TRUE(ivf::IvfIndex::Load(path, *four).ok());
   std::remove(path.c_str());
 }
 

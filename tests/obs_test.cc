@@ -421,6 +421,9 @@ TEST(QueryTraceTest, IvfIndexRecordsStages) {
   sopt.trace = &trace;
   auto out = index->Search(queries[0], 5, sopt);
   ASSERT_FALSE(out.results.empty());
+  // The shared per-query table build is query work too: it must land in a
+  // stage, not in the trace's unaccounted gap.
+  EXPECT_GE(trace.total(obs::Stage::kLutBuild).spans, 1u);
   EXPECT_GE(trace.total(obs::Stage::kRoute).spans, 1u);
   EXPECT_GE(trace.total(obs::Stage::kScan).spans, 1u);
   EXPECT_GE(trace.total(obs::Stage::kRefine).spans, 1u);

@@ -93,6 +93,43 @@ TEST(SerializeTest, RejectsTruncatedModel) {
   std::remove(path.c_str());
 }
 
+// A well-formed header with absurd sizes must come back as IOError before
+// anything is allocated from it: a 2^30-dim plain or split header would ask
+// a Codebook for 2^38 or 2^35 floats, and a rotation flag for a dim x dim
+// matrix the file cannot hold.
+TEST(SerializeTest, RejectsHeaderSizesBeyondFileContents) {
+  struct Crafted {
+    const char* name;
+    uint32_t version, dim, m, k;
+    uint8_t has_rot;
+    bool split;             // v4 headers carry a has_split byte
+    size_t payload_floats;  // zero floats written after the header
+  };
+  for (const Crafted& c : {
+           Crafted{"plain", 3, 1u << 30, 1, 256, 0, false, 0},
+           Crafted{"split", 4, 1u << 30, 1, 256, 0, true, 0},
+           // The codebook fits; the 2^32-float rotation does not.
+           Crafted{"rotation", 3, 1u << 16, 1, 1, 1, false, 1u << 16},
+       }) {
+    std::string path = ::testing::TempDir() + "/crafted.rpqq";
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite("RPQQ", 1, 4, f);
+    for (uint32_t v : {c.version, c.dim, c.m, c.k}) std::fwrite(&v, 4, 1, f);
+    std::fwrite(&c.has_rot, 1, 1, f);
+    if (c.split) std::fputc(1, f);
+    if (c.payload_floats > 0) {
+      const std::vector<float> payload(c.payload_floats, 0.f);
+      std::fwrite(payload.data(), sizeof(float), payload.size(), f);
+    }
+    std::fclose(f);
+    auto loaded = LoadQuantizer(path);
+    ASSERT_FALSE(loaded.ok()) << c.name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError) << c.name;
+    std::remove(path.c_str());
+  }
+}
+
 TEST(SerializeTest, CodesRoundTrip) {
   Dataset d = SmallData();
   PqOptions opt;

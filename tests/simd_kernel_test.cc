@@ -176,9 +176,11 @@ TEST(SimdKernelTest, AdcBatchGatherMatchesScalarBitExactly) {
 
 // FastScan shuffle kernel: raw u16 sums must match the scalar reference
 // bit-for-bit (pure integer adds) across odd row counts and block tails.
+// m2 = 32 is the shipped K = 256 split shape (m = 16 code bytes, 2m rows).
 TEST(SimdKernelTest, AdcFastScanMatchesScalarBitExactly) {
   Rng rng(10);
-  for (size_t m2 : {size_t(2), size_t(8), size_t(16), size_t(34), size_t(62)}) {
+  for (size_t m2 : {size_t(2), size_t(8), size_t(16), size_t(32), size_t(34),
+                    size_t(62)}) {
     for (size_t n_blocks : {size_t(1), size_t(2), size_t(5)}) {
       std::vector<uint8_t> lut8(m2 * 16);
       for (auto& v : lut8) v = static_cast<uint8_t>(rng.UniformIndex(256));
@@ -203,7 +205,7 @@ TEST(SimdKernelTest, AdcFastScanMatchesScalarBitExactly) {
 // counts straddling every tile width (4/2/1 on x86, 2/1 on NEON).
 TEST(SimdKernelTest, AdcFastScanMultiMatchesScalarBitExactly) {
   Rng rng(11);
-  for (size_t m2 : {size_t(2), size_t(8), size_t(16), size_t(34)}) {
+  for (size_t m2 : {size_t(2), size_t(8), size_t(16), size_t(32), size_t(34)}) {
     for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(4), size_t(5),
                       size_t(7), size_t(8), size_t(9)}) {
       for (size_t n_blocks : {size_t(1), size_t(3)}) {
@@ -227,105 +229,28 @@ TEST(SimdKernelTest, AdcFastScanMultiMatchesScalarBitExactly) {
 }
 
 // And against the dispatched single-query kernel: batching queries must not
-// change any query's sums.
+// change any query's sums — including at the split shapes (m2 = 2m = 32 and
+// 34), where IVF's residual groups batch per-cell split tables.
 TEST(SimdKernelTest, AdcFastScanMultiMatchesSingleQueryScans) {
   Rng rng(12);
-  const size_t m2 = 16, nq = 6, n_blocks = 4;
-  std::vector<uint8_t> luts(nq * m2 * 16);
-  for (auto& v : luts) v = static_cast<uint8_t>(rng.UniformIndex(256));
-  std::vector<uint8_t> packed(n_blocks * 16 * m2);
-  for (auto& v : packed) v = static_cast<uint8_t>(rng.UniformIndex(256));
-  std::vector<uint16_t> multi(nq * n_blocks * 32), single(n_blocks * 32);
-  Ops().adc_fastscan_multi(luts.data(), nq, m2, packed.data(), n_blocks,
-                           multi.data());
-  for (size_t q = 0; q < nq; ++q) {
-    Ops().adc_fastscan(luts.data() + q * m2 * 16, m2, packed.data(), n_blocks,
-                       single.data());
-    for (size_t i = 0; i < single.size(); ++i) {
-      ASSERT_EQ(multi[q * n_blocks * 32 + i], single[i])
-          << "q=" << q << " i=" << i;
-    }
-  }
-}
-
-// Split-table kernel (K = 256 scored as two nibble planes): dispatched
-// backends must match the scalar reference bit-for-bit. Here m is the CODE
-// byte count — the LUT carries 2m interleaved 16-entry rows — and the code
-// counts cover lone, partial-tail, exactly-full, and multi-block scans.
-TEST(SimdKernelTest, AdcFastScanSplitMatchesScalarBitExactly) {
-  Rng rng(13);
-  for (size_t m : {size_t(4), size_t(8), size_t(16), size_t(17)}) {
-    for (size_t n :
-         {size_t(1), size_t(31), size_t(32), size_t(33), size_t(65)}) {
-      const size_t n_blocks = (n + 31) / 32;
-      std::vector<uint8_t> lut8(2 * m * 16);
-      for (auto& v : lut8) v = static_cast<uint8_t>(rng.UniformIndex(256));
-      // A split block row holds full 8-bit code bytes (any byte pattern is
-      // valid); tail slots stay zero exactly as PackedCodes pads them.
-      std::vector<uint8_t> packed(n_blocks * m * 32, 0);
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < m; ++j) {
-          packed[(i / 32) * m * 32 + j * 32 + (i % 32)] =
-              static_cast<uint8_t>(rng.UniformIndex(256));
+  const size_t n_blocks = 4;
+  for (size_t m2 : {size_t(16), size_t(32), size_t(34)}) {
+    for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5), size_t(6),
+                      size_t(8)}) {
+      std::vector<uint8_t> luts(nq * m2 * 16);
+      for (auto& v : luts) v = static_cast<uint8_t>(rng.UniformIndex(256));
+      std::vector<uint8_t> packed(n_blocks * 16 * m2);
+      for (auto& v : packed) v = static_cast<uint8_t>(rng.UniformIndex(256));
+      std::vector<uint16_t> multi(nq * n_blocks * 32), single(n_blocks * 32);
+      Ops().adc_fastscan_multi(luts.data(), nq, m2, packed.data(), n_blocks,
+                               multi.data());
+      for (size_t q = 0; q < nq; ++q) {
+        Ops().adc_fastscan(luts.data() + q * m2 * 16, m2, packed.data(),
+                           n_blocks, single.data());
+        for (size_t i = 0; i < single.size(); ++i) {
+          ASSERT_EQ(multi[q * n_blocks * 32 + i], single[i])
+              << "m2=" << m2 << " nq=" << nq << " q=" << q << " i=" << i;
         }
-      }
-      std::vector<uint16_t> got(n_blocks * 32), want(n_blocks * 32);
-      Ops().adc_fastscan_split(lut8.data(), m, packed.data(), n_blocks,
-                               got.data());
-      ScalarOps().adc_fastscan_split(lut8.data(), m, packed.data(), n_blocks,
-                                     want.data());
-      for (size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], want[i]) << "m=" << m << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
-// The layout identity the split regime rests on: a split block of full code
-// bytes IS the 4-bit packed block of the nibble-expanded codes, so the
-// split kernel must reproduce the plain kernel run at 2m rows over the very
-// same bytes — bit-for-bit, on every backend.
-TEST(SimdKernelTest, AdcFastScanSplitEqualsPlainKernelAtDoubleRows) {
-  Rng rng(15);
-  const size_t m = 8, n_blocks = 2;
-  std::vector<uint8_t> lut8(2 * m * 16);
-  for (auto& v : lut8) v = static_cast<uint8_t>(rng.UniformIndex(256));
-  std::vector<uint8_t> packed(n_blocks * m * 32);
-  for (auto& v : packed) v = static_cast<uint8_t>(rng.UniformIndex(256));
-  std::vector<uint16_t> got(n_blocks * 32), want(n_blocks * 32);
-  Ops().adc_fastscan_split(lut8.data(), m, packed.data(), n_blocks,
-                           got.data());
-  Ops().adc_fastscan(lut8.data(), 2 * m, packed.data(), n_blocks, want.data());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i], want[i]) << "i=" << i;
-  }
-}
-
-// Multi-query split scans must equal nq single-query split scans and the
-// scalar multi reference (the residual SearchBatch grouping rides this).
-TEST(SimdKernelTest, AdcFastScanSplitMultiMatchesSingleQueryScans) {
-  Rng rng(14);
-  const size_t m = 8, n_blocks = 3;
-  for (size_t nq : {size_t(1), size_t(2), size_t(3), size_t(5), size_t(8)}) {
-    std::vector<uint8_t> luts(nq * 2 * m * 16);
-    for (auto& v : luts) v = static_cast<uint8_t>(rng.UniformIndex(256));
-    std::vector<uint8_t> packed(n_blocks * m * 32);
-    for (auto& v : packed) v = static_cast<uint8_t>(rng.UniformIndex(256));
-    std::vector<uint16_t> multi(nq * n_blocks * 32), want(nq * n_blocks * 32),
-        single(n_blocks * 32);
-    Ops().adc_fastscan_split_multi(luts.data(), nq, m, packed.data(), n_blocks,
-                                   multi.data());
-    ScalarOps().adc_fastscan_split_multi(luts.data(), nq, m, packed.data(),
-                                         n_blocks, want.data());
-    for (size_t i = 0; i < multi.size(); ++i) {
-      ASSERT_EQ(multi[i], want[i]) << "nq=" << nq << " i=" << i;
-    }
-    for (size_t q = 0; q < nq; ++q) {
-      Ops().adc_fastscan_split(luts.data() + q * 2 * m * 16, m, packed.data(),
-                               n_blocks, single.data());
-      for (size_t i = 0; i < single.size(); ++i) {
-        ASSERT_EQ(multi[q * n_blocks * 32 + i], single[i])
-            << "nq=" << nq << " q=" << q << " i=" << i;
       }
     }
   }

@@ -150,4 +150,41 @@ TEST_F(ToolTest, TrainRejectsKAboveWhatTheCodesHold) {
   EXPECT_NE(r.err.find("K <= 16"), std::string::npos) << r.err;
 }
 
+// One FastScan capability rule (quant::FastScanCapable): u8 tables hold at
+// most 256 rows, m for 4-bit codes and 2m for K = 256 split codes. 960-d
+// rows make the m values below valid PQ shapes. Past the cap, split
+// training and IVF builds are flag errors, while a 4-bit model still serves
+// float ADC (it only gets no FastScan layout).
+TEST_F(ToolTest, FastScanRowCapIsOneRule) {
+  const std::string gist = Path("gist");
+  std::filesystem::create_directory(gist);
+  const std::string base = " --base " + gist + "/base.fvecs";
+  const std::string m480 = gist + "/m480.rpqq";
+  for (const std::string& args :
+       {"gen --name gist --n 300 --queries 5 --out " + gist,
+        "build-graph" + base + " --type vamana --out " + gist + "/g.bin",
+        "train" + base + " --method pq --nbits 4 --m 480 --out " + m480}) {
+    ASSERT_EQ(Tool(args).status, 0) << args;
+  }
+  // The residual flow trains its model, so --model is an output there.
+  for (const std::string& args :
+       {"build-ivf" + base + " --residual --nbits 8 --m 160 --model " + gist +
+            "/res.rpqq --out " + gist + "/ivf_res.bin",
+        "train" + base + " --method pq --split --m 160 --out " + gist +
+            "/split160.rpqq"}) {
+    const ToolRun r = Tool(args);
+    EXPECT_EQ(r.status, 1) << args << "\n" << r.out << r.err;
+    EXPECT_NE(r.err.find("--m must be <= 128"), std::string::npos) << r.err;
+  }
+  const ToolRun ivf = Tool("build-ivf" + base + " --model " + m480 +
+                           " --out " + gist + "/ivf.bin");
+  EXPECT_EQ(ivf.status, 1) << ivf.out << ivf.err;
+  EXPECT_NE(ivf.err.find("FastScan-capable"), std::string::npos) << ivf.err;
+  const ToolRun search =
+      Tool("search" + base + " --queries " + gist + "/queries.fvecs --graph " +
+           gist + "/g.bin --model " + m480 + " --mode adc");
+  EXPECT_EQ(search.status, 0) << search.out << search.err;
+  EXPECT_FALSE(Recall(search.out).empty()) << search.out;
+}
+
 }  // namespace

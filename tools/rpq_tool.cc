@@ -213,6 +213,12 @@ Flags ParseFlags(int argc, char** argv, int first) {
   return f;
 }
 
+// train --split and build-ivf --residual --nbits 8 share this bound: a split
+// table has 2m u8 rows, and FastScan caps rows at 256.
+constexpr const char* kSplitMaxM =
+    "--m must be <= 128 for the K = 256 split regime: its FastScan tables "
+    "hold 2m rows, at most 256";
+
 int Fail(const std::string& msg) {
   std::fprintf(stderr, "error: %s\n", msg.c_str());
   return 1;
@@ -318,12 +324,12 @@ int CmdTrain(const Flags& flags) {
     if (flags.Has("split")) {
       // K = 256 additive split regime (quant/split.h): FastScan-capable
       // 8-bit codes, serializable (v2) like any other model.
-      if (nbits != 4 && opt.k == 256) {
-        model = rpq::quant::TrainSplitPq(base.value(), opt);
-      } else {
+      if (nbits == 4 || opt.k != 256) {
         return Fail("--split trains the K = 256 regime; use --nbits 8 "
                     "(default K 256)");
       }
+      if (opt.m > 128) return Fail(kSplitMaxM);
+      model = rpq::quant::TrainSplitPq(base.value(), opt);
     } else {
       model = rpq::quant::PqQuantizer::Train(base.value(), opt);
     }
@@ -422,18 +428,33 @@ rpq::Status CheckIvfRerankMode(rpq::refine::RerankMode rmode,
   return rpq::Status::OK();
 }
 
+// The residual flow's model flags, checked before any training: --nbits 8
+// (the default in this flow) trains the K = 256 split-table regime, --nbits
+// 4 a plain 4-bit model, and --m must fit the FastScan table's row cap.
+rpq::Status ResidualModelOptions(const Flags& flags,
+                                 rpq::quant::PqOptions* opt) {
+  opt->nbits = flags.GetSize("nbits", 8);
+  opt->m = flags.GetSize("m", 16);
+  if (opt->nbits != 8 && opt->nbits != 4) {
+    return rpq::Status::InvalidArgument("--nbits must be 8 or 4");
+  }
+  if (opt->nbits == 8 && opt->m > 128) {
+    return rpq::Status::InvalidArgument(kSplitMaxM);
+  }
+  if (opt->m > 256) {
+    return rpq::Status::InvalidArgument(
+        "--m must be <= 256: FastScan tables hold at most 256 rows");
+  }
+  return rpq::Status::OK();
+}
+
 // Residual-regime model training: the PQ codebooks must see the residual
 // distribution (x - centroid), which only exists once the coarse quantizer
 // is trained — so the residual flow derives the training set here instead of
-// loading a model trained on the raw corpus. --nbits 8 (the default in this
-// flow) trains the K = 256 split-table regime; --nbits 4 a plain 4-bit model.
-rpq::Result<std::unique_ptr<rpq::quant::PqQuantizer>> TrainResidualModel(
+// loading a model trained on the raw corpus.
+std::unique_ptr<rpq::quant::PqQuantizer> TrainResidualModel(
     const Dataset& base, const std::vector<float>& centroids,
-    const Flags& flags) {
-  const size_t nbits = flags.GetSize("nbits", 8);
-  if (nbits != 8 && nbits != 4) {
-    return rpq::Status::InvalidArgument("--nbits must be 8 or 4");
-  }
+    const rpq::quant::PqOptions& opt) {
   const size_t dim = base.dim();
   const size_t nlist = centroids.size() / dim;
   std::vector<float> resid(base.size() * dim);
@@ -446,10 +467,7 @@ rpq::Result<std::unique_ptr<rpq::quant::PqQuantizer>> TrainResidualModel(
     }
   }
   Dataset residual_set(base.size(), dim, std::move(resid));
-  rpq::quant::PqOptions opt;
-  opt.m = flags.GetSize("m", 16);
-  opt.nbits = nbits;
-  if (nbits == 8) {
+  if (opt.nbits == 8) {
     return rpq::quant::TrainSplitPq(residual_set, opt);
   }
   return rpq::quant::PqQuantizer::Train(residual_set, opt);
@@ -495,20 +513,22 @@ rpq::Status BuildIvf(const Flags& flags, const Dataset& base,
                       rmode == rpq::refine::RerankMode::kExact;
   opt.train_sample = flags.GetSize("train-sample", 0);
   opt.residual = flags.Has("residual");
+  rpq::quant::PqOptions residual_model;
   if (model_path != nullptr || !opt.residual) {
     RPQ_RETURN_NOT_OK(LoadModel(model_path, &b->model));
-    if (b->model->num_centroids() > 16 && b->model->split_model() == nullptr) {
+    if (!rpq::quant::FastScanCapable(*b->model)) {
       return rpq::Status::InvalidArgument(
-          "--index ivf needs a FastScan-capable model: 4-bit (--nbits 4) or "
-          "split-trained K = 256 (train --split / build-ivf --residual)");
+          "--index ivf needs a FastScan-capable model: 4-bit (--nbits 4) "
+          "with m <= 256, or split-trained K = 256 (train --split / "
+          "build-ivf --residual) with m <= 128");
     }
+  } else {
+    RPQ_RETURN_NOT_OK(ResidualModelOptions(flags, &residual_model));
   }
   rpq::Timer timer;
   std::vector<float> centroids = rpq::ivf::IvfIndex::TrainCoarse(base, opt);
   if (b->model == nullptr) {
-    auto trained = TrainResidualModel(base, centroids, flags);
-    if (!trained.ok()) return trained.status();
-    b->model = std::move(trained.value());
+    b->model = TrainResidualModel(base, centroids, residual_model);
   }
   b->ivf = rpq::ivf::IvfIndex::BuildWithCentroids(base, std::move(centroids),
                                                   *b->model, opt);
@@ -673,7 +693,8 @@ rpq::Status MakeBackend(const Flags& flags, const Dataset& base, Backend* b) {
   if (mode == rpq::core::DistanceMode::kFastScan) {
     if (!b->memory->fastscan_capable()) {
       return rpq::Status::InvalidArgument(
-          "--mode fastscan needs a 4-bit model (train with --nbits 4)");
+          "--mode fastscan needs a 4-bit model with m <= 256 (train with "
+          "--nbits 4)");
     }
     b->memory->set_fastscan_rerank(flags.GetSize("rerank", 0));
     b->memory->set_rerank_mode(rmode);
