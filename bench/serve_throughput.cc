@@ -81,7 +81,7 @@ void BM_ServeThroughput(benchmark::State& state) {
     // Batched dispatch routes workers through SearchService::SearchBatch
     // (amortized ADC table builds); unbatched issues one Search per query.
     auto results = batched ? engine.SearchAll(specs)
-                           : engine.SearchAll(f.queries, kK, kBeam);
+                           : engine.SearchAll(f.queries, {nullptr, kK, kBeam});
     benchmark::DoNotOptimize(results.data());
     completed += results.size();
   }

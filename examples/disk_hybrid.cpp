@@ -41,17 +41,22 @@ int main() {
                   index->MemoryBytes());
 
   auto gt = rpq::ComputeGroundTruth(base, queries, 10);
-  // Sequential baseline vs the async wave path: same index, per-query
-  // DiskIoOptions overrides. At queue depth 8 an 8-wide wave overlaps what
-  // the sync loop serializes, and readahead turns repeat expansions of
-  // speculated blocks into zero-cost cache hits.
+  // Sequential baseline vs the async wave path: a second index on the same
+  // device, built with 8-wide waves and readahead. At queue depth 8 an
+  // 8-wide wave overlaps what the sync loop serializes, and readahead turns
+  // repeat expansions of speculated blocks into zero-cost cache hits.
+  rpq::disk::DiskIndexOptions async_opt = dopt;
+  async_opt.io_width = 8;
+  async_opt.readahead = 4;
+  auto async_index = rpq::disk::DiskIndex::Build(
+      base, graph, *trained.quantizer, async_opt);
   struct Config {
     const char* name;
-    rpq::disk::DiskIoOptions io;
+    const rpq::disk::DiskIndex* index;
   };
   const Config configs[] = {
-      {"sync (io_width=1)", {1, 0}},
-      {"async (io_width=8, readahead=4)", {8, 4}},
+      {"sync (io_width=1)", index.get()},
+      {"async (io_width=8, readahead=4)", async_index.get()},
   };
   for (const Config& cfg : configs) {
     std::printf("-- %s --\n", cfg.name);
@@ -60,7 +65,7 @@ int main() {
       size_t reads = 0;
       double io_ms = 0;
       for (size_t q = 0; q < queries.size(); ++q) {
-        auto out = index->Search(queries[q], 10, {beam, 10}, nullptr, cfg.io);
+        auto out = cfg.index->Search(queries[q], 10, {beam, 10});
         results[q] = out.results;
         reads += out.io.reads;
         io_ms += out.io.simulated_seconds * 1e3;

@@ -48,7 +48,8 @@ int main() {
   // 2. ServingEngine replays queries across worker threads; per-worker
   //    scratch is thread-local, so concurrent results == serial results.
   rpq::serve::ServingEngine engine(service, {/*threads=*/4});
-  auto outs = engine.SearchAll(queries, /*k=*/10, /*beam_width=*/64);
+  rpq::serve::QuerySpec spec;  // k = 10, beam_width = 64
+  auto outs = engine.SearchAll(queries, spec);
   std::vector<std::vector<rpq::Neighbor>> results(outs.size());
   for (size_t q = 0; q < outs.size(); ++q) results[q] = outs[q].results;
   std::printf("engine (%zu workers): recall@10 = %.3f\n", engine.num_threads(),
@@ -59,7 +60,7 @@ int main() {
   auto sharded =
       rpq::serve::BuildShardedMemoryIndex(base, *trained.quantizer, 4, vopt);
   rpq::serve::ServingEngine sharded_engine(*sharded.service, {4});
-  outs = sharded_engine.SearchAll(queries, 10, 64);
+  outs = sharded_engine.SearchAll(queries, spec);
   for (size_t q = 0; q < outs.size(); ++q) results[q] = outs[q].results;
   std::printf("4 shards: recall@10 = %.3f (%.1f MB resident)\n",
               rpq::eval::MeanRecallAtK(results, gt, 10),
@@ -87,8 +88,7 @@ int main() {
   // 5. Load generation: closed loop (saturated clients) and open loop
   //    (Poisson arrivals; latency includes queueing).
   rpq::serve::LoadgenOptions lopt;
-  lopt.k = 10;
-  lopt.beam_width = 64;
+  lopt.spec = spec;
   lopt.threads = 4;
   lopt.total_queries = 512;
   auto closed = rpq::serve::RunClosedLoop(service, queries, lopt);

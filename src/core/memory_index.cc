@@ -45,15 +45,16 @@ std::unique_ptr<MemoryIndex> MemoryIndex::Build(
   return index;
 }
 
-refine::RerankMode MemoryIndex::ResolveRerankMode(
-    refine::RerankMode requested) const {
-  const refine::RerankMode mode =
-      requested != refine::RerankMode::kAuto ? requested : rerank_mode_;
-  return refine::ResolveAutoMode(mode, stores_vectors());
+quant::DistanceLut MemoryIndex::TableFor(const float* query,
+                                        DistanceMode mode) const {
+  if (mode != DistanceMode::kSdc) return quant::AdcTable(quantizer_, query);
+  const auto* pq = dynamic_cast<const quant::PqQuantizer*>(&quantizer_);
+  RPQ_CHECK(pq != nullptr && "SDC requires a PQ-family quantizer");
+  return quant::SdcTable(*pq, query);
 }
 
 MemorySearchResult MemoryIndex::SearchFastScan(
-    const float* query, const quant::AdcTable& table, size_t k,
+    const float* query, const quant::DistanceLut& table, size_t k,
     const graph::BeamSearchOptions& opt, const refine::RerankSpec& rerank,
     graph::VisitedTable* visited, obs::QueryTrace* trace) const {
   RPQ_CHECK(fastscan_.has_value() &&
@@ -73,9 +74,7 @@ MemorySearchResult MemoryIndex::SearchFastScan(
   // the float-ADC path stays beam-for-beam fair).
   const size_t beam_width = std::max(opt.beam_width, k);
   const size_t width =
-      std::min(beam_width,
-               refine::EffectiveRerankWidth(
-                   rerank.width > 0 ? rerank.width : rerank_width_, k));
+      std::min(beam_width, refine::EffectiveRerankWidth(rerank.width, k));
   std::vector<Neighbor> cands;
   {
     obs::ScopedStage span(obs::Stage::kBeam, trace);
@@ -91,7 +90,7 @@ MemorySearchResult MemoryIndex::SearchFastScan(
   refine::CandidateBuffer buffer(width);
   buffer.PushBounded(cands.data(), cands.size());
   out.stats.dist_comps += buffer.size();
-  switch (ResolveRerankMode(rerank.mode)) {
+  switch (refine::ResolveAutoMode(rerank.mode, stores_vectors())) {
     case refine::RerankMode::kExact: {
       RPQ_CHECK(stores_vectors() &&
                 "RerankMode::kExact needs MemoryIndexOptions.store_vectors");
@@ -114,7 +113,6 @@ MemorySearchResult MemoryIndex::SearchFastScan(
       break;
     }
   }
-  RecordSearchMetrics(out.stats);
   return out;
 }
 
@@ -123,40 +121,7 @@ MemorySearchResult MemoryIndex::Search(const float* query, size_t k,
                                        DistanceMode mode,
                                        const refine::RerankSpec& rerank,
                                        obs::QueryTrace* trace) const {
-  MemorySearchResult out;
-  graph::VisitedTable* visited = graph::TlsVisitedTable(graph_.num_vertices());
-  const size_t code_size = quantizer_.code_size();
-  if (mode == DistanceMode::kSdc) {
-    const auto* pq = dynamic_cast<const quant::PqQuantizer*>(&quantizer_);
-    RPQ_CHECK(pq != nullptr && "SDC requires a PQ-family quantizer");
-    quant::SdcTable table(*pq, query);
-    quant::AdcBatchOracle oracle{table, codes_.data(), code_size};
-    obs::ScopedStage span(obs::Stage::kBeam, trace);
-    out.results =
-        graph::BeamSearch(graph_, graph_.entry_point(), oracle,
-                          {opt.beam_width, k, opt.deadline}, visited,
-                          &out.stats);
-    RecordSearchMetrics(out.stats);
-    return out;
-  }
-  std::optional<quant::AdcTable> table;
-  {
-    obs::ScopedStage span(obs::Stage::kLutBuild, trace);
-    table.emplace(quantizer_, query);
-  }
-  if (mode == DistanceMode::kFastScan) {
-    return SearchFastScan(query, *table, k, opt, rerank, visited, trace);
-  }
-  quant::AdcBatchOracle oracle{*table, codes_.data(), code_size};
-  {
-    obs::ScopedStage span(obs::Stage::kBeam, trace);
-    out.results =
-        graph::BeamSearch(graph_, graph_.entry_point(), oracle,
-                          {opt.beam_width, k, opt.deadline}, visited,
-                          &out.stats);
-  }
-  RecordSearchMetrics(out.stats);
-  return out;
+  return std::move(SearchBatch(&query, 1, k, opt, mode, rerank, trace)[0]);
 }
 
 std::vector<MemorySearchResult> MemoryIndex::SearchBatch(
@@ -165,22 +130,14 @@ std::vector<MemorySearchResult> MemoryIndex::SearchBatch(
     const refine::RerankSpec& rerank, obs::QueryTrace* trace) const {
   std::vector<MemorySearchResult> out(nq);
   if (nq == 0) return out;
-  if (mode == DistanceMode::kSdc) {
-    // SDC tables quantize the query first; no cross-query work to amortize,
-    // so the batch is just the per-query path run back-to-back.
-    for (size_t i = 0; i < nq; ++i) {
-      out[i] = Search(queries[i], k, opt, mode, {}, trace);
-    }
-    return out;
-  }
   graph::VisitedTable* visited = graph::TlsVisitedTable(graph_.num_vertices());
   const size_t code_size = quantizer_.code_size();
   // Tiled: table memory stays bounded and the tile's tables stay
   // cache-resident no matter how large the submitted batch is. The FastScan
   // branch derives its u8 tables inside SearchFastScan from the same float
-  // tables, so both modes share the amortized build.
+  // tables, so every mode shares the amortized build.
   constexpr size_t kTile = 16;
-  std::vector<quant::AdcTable> tables;
+  std::vector<quant::DistanceLut> tables;
   tables.reserve(std::min(nq, kTile));
   for (size_t base = 0; base < nq; base += kTile) {
     const size_t tile = std::min(kTile, nq - base);
@@ -188,21 +145,22 @@ std::vector<MemorySearchResult> MemoryIndex::SearchBatch(
     {
       obs::ScopedStage span(obs::Stage::kLutBuild, trace);
       for (size_t i = 0; i < tile; ++i) {
-        tables.emplace_back(quantizer_, queries[base + i]);
+        tables.push_back(TableFor(queries[base + i], mode));
       }
     }
     for (size_t i = 0; i < tile; ++i) {
+      MemorySearchResult& res = out[base + i];
       if (mode == DistanceMode::kFastScan) {
-        out[base + i] = SearchFastScan(queries[base + i], tables[i], k, opt,
-                                       rerank, visited, trace);
-        continue;
+        res = SearchFastScan(queries[base + i], tables[i], k, opt, rerank,
+                             visited, trace);
+      } else {
+        quant::AdcBatchOracle oracle{tables[i], codes_.data(), code_size};
+        obs::ScopedStage span(obs::Stage::kBeam, trace);
+        res.results = graph::BeamSearch(graph_, graph_.entry_point(), oracle,
+                                        {opt.beam_width, k, opt.deadline},
+                                        visited, &res.stats);
       }
-      quant::AdcBatchOracle oracle{tables[i], codes_.data(), code_size};
-      obs::ScopedStage span(obs::Stage::kBeam, trace);
-      out[base + i].results = graph::BeamSearch(
-          graph_, graph_.entry_point(), oracle, {opt.beam_width, k, opt.deadline},
-          visited, &out[base + i].stats);
-      RecordSearchMetrics(out[base + i].stats);
+      RecordSearchMetrics(res.stats);
     }
   }
   return out;

@@ -15,6 +15,7 @@
 #include "graph/beam_search.h"
 #include "graph/graph.h"
 #include "obs/trace.h"
+#include "quant/adc.h"
 #include "quant/fastscan.h"
 #include "quant/quantizer.h"
 #include "refine/refine.h"
@@ -55,35 +56,27 @@ struct MemoryIndexOptions {
 /// threads may search one index concurrently with no shared mutable state.
 class MemoryIndex {
  public:
-  static std::unique_ptr<MemoryIndex> Build(const Dataset& base,
-                                            const graph::ProximityGraph& graph,
-                                            const quant::VectorQuantizer& quantizer,
-                                            const MemoryIndexOptions& options);
-
-  /// Back-compat shorthand for Build with only the FastScan-layout knob.
   static std::unique_ptr<MemoryIndex> Build(
       const Dataset& base, const graph::ProximityGraph& graph,
-      const quant::VectorQuantizer& quantizer, bool fastscan_layout = true) {
-    MemoryIndexOptions options;
-    options.fastscan_layout = fastscan_layout;
-    return Build(base, graph, quantizer, options);
-  }
+      const quant::VectorQuantizer& quantizer,
+      const MemoryIndexOptions& options = {});
 
-  /// `rerank` overrides the index-level refinement defaults for this query
-  /// (width 0 / kAuto fields defer to the configured setters below); it only
-  /// applies to DistanceMode::kFastScan, the mode with a rerank epilogue.
-  /// `trace`, when non-null, receives per-stage spans (lut_build / beam /
-  /// refine / merge) for this query.
+  /// SearchBatch of one query. `rerank` is the query's refinement request
+  /// (width 0 = refine::EffectiveRerankWidth's auto rule, kAuto = exact when
+  /// raw rows are stored, float-ADC otherwise); it only applies to
+  /// DistanceMode::kFastScan, the mode with a rerank epilogue. `trace`, when
+  /// non-null, receives per-stage spans (lut_build / beam / refine / merge)
+  /// for this query.
   MemorySearchResult Search(const float* query, size_t k,
                             const graph::BeamSearchOptions& options,
                             DistanceMode mode = DistanceMode::kAdc,
                             const refine::RerankSpec& rerank = {},
                             obs::QueryTrace* trace = nullptr) const;
 
-  /// Scores `nq` queries back-to-back on the calling thread. All ADC lookup
-  /// tables are built up-front, before any graph traversal, which keeps the
-  /// codebook cache-resident across table builds — the amortization the
-  /// serving micro-batcher exists to exploit. Results match per-query Search.
+  /// Scores `nq` queries back-to-back on the calling thread. Each tile's
+  /// lookup tables (ADC, or SDC for kSdc) are built up-front, before any
+  /// graph traversal, which keeps the codebook cache-resident across table
+  /// builds — the amortization the serving micro-batcher exists to exploit.
   /// A batch shares one `trace`: its spans accumulate across all nq queries.
   std::vector<MemorySearchResult> SearchBatch(
       const float* const* queries, size_t nq, size_t k,
@@ -105,20 +98,6 @@ class MemoryIndex {
   /// True when Build retained the raw rows (RerankMode::kExact available).
   bool stores_vectors() const { return !vectors_.empty(); }
 
-  /// How many beam candidates the FastScan path re-scores before returning
-  /// top-k. 0 (default) = auto: refine::EffectiveRerankWidth's max(2k, 32)
-  /// rule, capped at the beam width. Larger values trade rerank work for
-  /// recall; the u8 quantization error the ADC stage recovers is bounded by
-  /// FastScanTable::ErrorBound().
-  void set_fastscan_rerank(size_t width) { rerank_width_ = width; }
-  size_t fastscan_rerank() const { return rerank_width_; }
-
-  /// Default refinement stage for the FastScan epilogue. kAuto = exact when
-  /// raw rows are stored, float-ADC otherwise. kExact requires
-  /// MemoryIndexOptions.store_vectors; kLinkCode requires set_linkcode().
-  void set_rerank_mode(refine::RerankMode mode) { rerank_mode_ = mode; }
-  refine::RerankMode rerank_mode() const { return rerank_mode_; }
-
   /// Attaches a Link&Code refinement model (borrowed; must outlive the
   /// index) — enables refine::RerankMode::kLinkCode, which reranks with
   /// graph-neighbor-regression reconstructions instead of raw rows.
@@ -132,15 +111,16 @@ class MemoryIndex {
               const quant::VectorQuantizer& quantizer)
       : graph_(graph), quantizer_(quantizer) {}
 
+  /// The query's float lookup table: SDC for kSdc, ADC otherwise (kFastScan
+  /// quantizes it to u8 and reranks with it). Both are plain DistanceLuts.
+  quant::DistanceLut TableFor(const float* query, DistanceMode mode) const;
+
   MemorySearchResult SearchFastScan(const float* query,
-                                    const quant::AdcTable& table, size_t k,
+                                    const quant::DistanceLut& table, size_t k,
                                     const graph::BeamSearchOptions& options,
                                     const refine::RerankSpec& rerank,
                                     graph::VisitedTable* visited,
                                     obs::QueryTrace* trace) const;
-
-  /// Resolves a query-level mode request against the index defaults.
-  refine::RerankMode ResolveRerankMode(refine::RerankMode requested) const;
 
   const graph::ProximityGraph& graph_;
   const quant::VectorQuantizer& quantizer_;
@@ -148,8 +128,6 @@ class MemoryIndex {
   std::optional<quant::PackedNeighborBlocks> fastscan_;
   std::vector<float> vectors_;  ///< n x dim iff store_vectors
   size_t dim_ = 0;
-  size_t rerank_width_ = 0;
-  refine::RerankMode rerank_mode_ = refine::RerankMode::kAuto;
   const quant::LinkCodeIndex* linkcode_ = nullptr;
 };
 

@@ -90,15 +90,10 @@ std::unique_ptr<DiskIndex> DiskIndex::Build(
 
 DiskSearchResult DiskIndex::Search(const float* query, size_t k,
                                    const graph::BeamSearchOptions& options,
-                                   obs::QueryTrace* trace,
-                                   const DiskIoOptions& io_opt) const {
+                                   obs::QueryTrace* trace) const {
   DiskSearchResult out;
   const size_t beam_width = std::max(options.beam_width, k);
   const size_t code_size = quantizer_.code_size();
-  const size_t io_width =
-      std::max<size_t>(1, io_opt.io_width != 0 ? io_opt.io_width : io_width_);
-  const size_t readahead =
-      io_opt.readahead != 0 ? io_opt.readahead : readahead_;
 
   // Navigation estimator: float ADC by default, the FastScan u8 shuffle path
   // when packed neighbor blocks were built. Either way results are reranked
@@ -173,9 +168,9 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
   // early would convert those hits into wasted reads. Bound by the beam
   // width (plus slack for churn); per-query memory is ~beam_width blocks.
   PrefetchCache cache(
-      readahead > 0 ? beam_width + 4 * readahead : 0);
+      readahead_ > 0 ? beam_width + 4 * readahead_ : 0);
   std::vector<WaveSlot> wave;
-  wave.reserve(io_width);
+  wave.reserve(io_width_);
   std::vector<IoCompletion> completions;
   std::vector<std::vector<uint8_t>> spare;  // recycled block buffers
   std::unordered_map<uint32_t, std::vector<uint8_t>> spec_inflight;
@@ -197,7 +192,7 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
     // Drain up to io_width best unexpanded entries into this wave — the
     // same (estimate, id) order the sequential path expands one at a time.
     wave.clear();
-    while (wave.size() < io_width) {
+    while (wave.size() < io_width_) {
       const size_t next = beam.NextUnexpanded();
       if (next == graph::detail::FlatBeam::kNone) break;
       beam.MarkExpanded(next);
@@ -211,7 +206,7 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
     // costs no device time.
     for (size_t i = 0; i < wave.size(); ++i) {
       WaveSlot& s = wave[i];
-      if (readahead > 0 && cache.Take(s.id, &s.buf)) {
+      if (readahead_ > 0 && cache.Take(s.id, &s.buf)) {
         s.state = WaveSlot::kReady;
         ++out.io.prefetch_hits;
         continue;
@@ -224,10 +219,10 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
     // candidates (the beam's estimate order IS the prediction) while the
     // demand wave is in flight. Failed speculative reads are dropped, not
     // retried — the block simply falls back to a demand read if expanded.
-    if (readahead > 0) {
+    if (readahead_ > 0) {
       size_t speculated = 0;
       for (const auto& e : beam.entries()) {
-        if (speculated >= readahead) break;
+        if (speculated >= readahead_) break;
         if (e.expanded != 0) continue;
         if (cache.Contains(e.id) ||
             spec_inflight.find(e.id) != spec_inflight.end()) {

@@ -51,14 +51,6 @@ struct DiskIndexOptions {
   size_t readahead = 0;
 };
 
-/// Per-query async I/O overrides; 0 means "use the index's build-time
-/// default". (An explicit per-query opt-out of a configured readahead is
-/// not expressible — build with readahead=0 to disable speculation.)
-struct DiskIoOptions {
-  size_t io_width = 0;
-  size_t readahead = 0;
-};
-
 /// Result of one hybrid query.
 struct DiskSearchResult {
   std::vector<Neighbor> results;  ///< ascending by EXACT distance (reranked)
@@ -87,14 +79,13 @@ class DiskIndex {
                                           const quant::VectorQuantizer& quantizer,
                                           const DiskIndexOptions& options = {});
 
-  /// Beam search with ADC navigation + full-precision rerank. `trace`, when
-  /// set, receives per-stage spans (lut_build / beam / merge, plus the
-  /// simulated device time as the io stage). `io` overrides the build-time
-  /// wave/readahead knobs for this query (0 = keep the index default).
+  /// Beam search with ADC navigation + full-precision rerank, in waves of
+  /// the build-time io_width with its readahead. `trace`, when set, receives
+  /// per-stage spans (lut_build / beam / merge, plus the simulated device
+  /// time as the io stage).
   DiskSearchResult Search(const float* query, size_t k,
                           const graph::BeamSearchOptions& options,
-                          obs::QueryTrace* trace = nullptr,
-                          const DiskIoOptions& io = {}) const;
+                          obs::QueryTrace* trace = nullptr) const;
 
   /// Bytes resident in memory: codes + codebook/transform model (+ packed
   /// FastScan neighbor blocks when routing with them).

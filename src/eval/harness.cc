@@ -35,7 +35,7 @@ std::vector<OperatingPoint> SweepBeamWidths(
     OperatingPoint pt;
     pt.beam = beam;
     Timer timer;
-    auto outcomes = engine.SearchAll(queries, k, beam);
+    auto outcomes = engine.SearchAll(queries, {nullptr, k, beam});
     double wall = timer.ElapsedSeconds();
     if (obs::MetricsEnabled()) {
       // Sweep accounting in the registry, alongside the backend's own

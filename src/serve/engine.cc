@@ -36,12 +36,14 @@ void RegisterServingMetrics() {
   fault::RegisterFaultMetrics();
 }
 
-// What the flight recorder wants to know about a completed query.
-obs::QueryObservation MakeObservation(const QuerySpec& q, const QueryResult& r,
-                                      uint64_t latency_nanos) {
+}  // namespace
+
+void ObserveQuery(const QuerySpec& q, const QueryResult& r,
+                  uint64_t latency_nanos) {
+  obs::FlightRecorder& recorder = obs::GlobalFlightRecorder();
+  if (!recorder.enabled()) return;
   obs::QueryObservation o;
-  o.latency_us = latency_nanos / 1000 +
-                 static_cast<uint64_t>(r.simulated_io_seconds * 1e6);
+  o.latency_us = latency_nanos / 1000;
   o.k = static_cast<uint32_t>(q.k);
   o.width = static_cast<uint32_t>(q.beam_width);
   o.degraded = r.degraded;
@@ -50,10 +52,8 @@ obs::QueryObservation MakeObservation(const QuerySpec& q, const QueryResult& r,
   o.hedged = r.hedged;
   o.shards_lost = static_cast<uint32_t>(r.shards_lost);
   o.trace = q.trace;
-  return o;
+  recorder.Observe(o);
 }
-
-}  // namespace
 
 ServingEngine::ServingEngine(const SearchService& service,
                              const EngineOptions& options)
@@ -68,13 +68,14 @@ ServingEngine::ServingEngine(const SearchService& service,
 }
 
 std::vector<QueryResult> ServingEngine::SearchAll(const Dataset& queries,
-                                                  size_t k,
-                                                  size_t beam_width) const {
+                                                  const QuerySpec& spec) const {
   std::vector<QueryResult> out(queries.size());
   ParallelFor(&pool_, queries.size(), [&](size_t begin, size_t end) {
-    for (size_t q = begin; q < end; ++q) {
+    QuerySpec q = spec;
+    for (size_t i = begin; i < end; ++i) {
       obs::ScopedStage span(obs::Stage::kService, nullptr);
-      out[q] = service_.Search({queries[q], k, beam_width});
+      q.query = queries[i];
+      out[i] = service_.Search(q);
     }
   });
   return out;
@@ -118,9 +119,7 @@ std::future<QueryResult> ServingEngine::Submit(const QuerySpec& q) const {
     refused.degraded = true;
     // Shed queries are degradation by definition — the recorder admits them
     // with zero served latency (nothing ran).
-    if (recording) {
-      obs::GlobalFlightRecorder().Observe(MakeObservation(q, refused, 0));
-    }
+    ObserveQuery(q, refused, 0);
     promise->set_value(std::move(refused));
     return fut;
   }
@@ -128,10 +127,10 @@ std::future<QueryResult> ServingEngine::Submit(const QuerySpec& q) const {
   QuerySpec admitted = q;
   if (options_.brownout_watermark > 0 && depth > options_.brownout_watermark) {
     // Brownout: admit, but cheaper — recall degrades before latency does.
-    const size_t floor_beam = std::max(options_.brownout_min_beam, q.k);
     const size_t scaled = static_cast<size_t>(
         static_cast<double>(q.beam_width) * options_.brownout_beam_factor);
-    admitted.beam_width = std::max(floor_beam, std::min(q.beam_width, scaled));
+    admitted.beam_width =
+        std::min(q.beam_width, std::max(options_.brownout_min_beam, scaled));
     if (admitted.rerank > 1) admitted.rerank = std::max<size_t>(q.k, admitted.rerank / 2);
     if (observed) obs::Add(Metrics().brownout, 1);
   }
@@ -154,8 +153,9 @@ std::future<QueryResult> ServingEngine::Submit(const QuerySpec& q) const {
     // Recorded latency spans queue wait + service + simulated I/O — the
     // latency the caller experienced, which is what makes a query "slow".
     if (recording) {
-      obs::GlobalFlightRecorder().Observe(
-          MakeObservation(q, result, TicksToNanos(TickNow() - submit_ticks)));
+      ObserveQuery(q, result,
+                   TicksToNanos(TickNow() - submit_ticks) +
+                       static_cast<uint64_t>(result.simulated_io_seconds * 1e9));
     }
     promise->set_value(std::move(result));
   });

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <vector>
@@ -31,12 +32,19 @@ struct EngineOptions {
   /// overloaded engine OOM or stall.
   size_t brownout_watermark = 0;
   size_t shed_watermark = 0;
-  /// Brownout policy: beam_width (nprobe for IVF) is scaled by this factor,
-  /// floored at brownout_min_beam (and at k); a nonzero rerank request is
-  /// halved.
+  /// Brownout policy: beam_width (nprobe for IVF) is scaled by this factor
+  /// and floored at brownout_min_beam, but never raised above the query's
+  /// own value (graph searches widen a beam below k to k themselves); a
+  /// nonzero rerank request is halved, floored at k.
   double brownout_beam_factor = 0.5;
   size_t brownout_min_beam = 8;
 };
+
+/// Feeds one completed query to the global flight recorder when it is
+/// enabled. `latency_nanos` is the latency the caller measured, simulated
+/// I/O included.
+void ObserveQuery(const QuerySpec& q, const QueryResult& r,
+                  uint64_t latency_nanos);
 
 /// Concurrent query executor over one (thread-safe) SearchService.
 class ServingEngine {
@@ -47,12 +55,13 @@ class ServingEngine {
   size_t num_threads() const { return pool_.num_threads(); }
   const SearchService& service() const { return service_; }
 
-  /// Replays all queries concurrently; blocks until done. Results are in
+  /// Replays every row of `queries` concurrently with `spec`'s knobs (its
+  /// `query` is replaced by each row); blocks until done. Results are in
   /// query order and identical to serial execution (backends are
   /// deterministic and share no mutable state across workers). With a
   /// single worker the replay runs inline — serial timing stays honest.
-  std::vector<QueryResult> SearchAll(const Dataset& queries, size_t k,
-                                     size_t beam_width) const;
+  std::vector<QueryResult> SearchAll(const Dataset& queries,
+                                     const QuerySpec& spec) const;
   std::vector<QueryResult> SearchAll(const std::vector<QuerySpec>& specs) const;
 
   /// Asynchronous single-query submission (open-loop serving).

@@ -21,11 +21,10 @@ ivf::IvfSearchOptions IvfService::OptionsFor(const QuerySpec& q) const {
   ivf::IvfSearchOptions opt;
   opt.nprobe = q.beam_width;  // beam_width doubles as nprobe for IVF
   opt.rerank = q.rerank > 0 ? q.rerank : rerank_;
-  // Query-level request over service-level default, then degraded to kAuto
-  // where the index cannot serve it (linkcode has no IVF analogue).
+  // Degraded to kAuto where the index cannot serve it (linkcode has no IVF
+  // analogue).
   opt.rerank_mode = refine::SanitizeRequestedMode(
-      q.rerank_mode != refine::RerankMode::kAuto ? q.rerank_mode : mode_,
-      index_.stores_vectors(), /*has_linkcode=*/false);
+      q.rerank_mode, index_.stores_vectors(), /*has_linkcode=*/false);
   opt.trace = q.trace;
   opt.deadline = DeadlineFor(q);
   return opt;
@@ -37,27 +36,14 @@ QueryResult IvfService::Search(const QuerySpec& q) const {
 
 void IvfService::SearchBatch(const QuerySpec* qs, size_t n,
                              QueryResult* out) const {
-  // The index batch path amortizes across uniform (k, nprobe, rerank
-  // request) runs; split the batch into maximal such runs (batcher batches
-  // almost always are one).
-  size_t i = 0;
-  std::vector<const float*> queries;
-  while (i < n) {
-    size_t j = i;
-    while (j < n && qs[j].k == qs[i].k &&
-           qs[j].beam_width == qs[i].beam_width &&
-           qs[j].rerank == qs[i].rerank &&
-           qs[j].rerank_mode == qs[i].rerank_mode &&
-           qs[j].deadline_us == qs[i].deadline_us) {
-      ++j;
+  ForEachUniformRun(qs, n, [&](size_t first,
+                               const std::vector<const float*>& queries) {
+    auto res = index_.SearchBatch(queries.data(), queries.size(), qs[first].k,
+                                  OptionsFor(qs[first]));
+    for (size_t t = 0; t < res.size(); ++t) {
+      out[first + t] = ToQueryResult(std::move(res[t]));
     }
-    queries.clear();
-    for (size_t t = i; t < j; ++t) queries.push_back(qs[t].query);
-    auto res = index_.SearchBatch(queries.data(), queries.size(), qs[i].k,
-                                  OptionsFor(qs[i]));
-    for (size_t t = i; t < j; ++t) out[t] = ToQueryResult(std::move(res[t - i]));
-    i = j;
-  }
+  });
 }
 
 }  // namespace rpq::serve

@@ -22,11 +22,10 @@ namespace rpq::serve {
 /// IVF flat-scan backend (ivf::IvfIndex is borrowed).
 class IvfService : public SearchService {
  public:
-  /// `rerank` / `mode` are the service-level refinement defaults, used when
-  /// a QuerySpec does not carry its own (0 / kAuto = the shared auto rules).
-  explicit IvfService(const ivf::IvfIndex& index, size_t rerank = 0,
-                      refine::RerankMode mode = refine::RerankMode::kAuto)
-      : index_(index), rerank_(rerank), mode_(mode) {}
+  /// `rerank` is the service-level rerank width, used when a QuerySpec does
+  /// not carry its own (0 = the shared auto rule).
+  explicit IvfService(const ivf::IvfIndex& index, size_t rerank = 0)
+      : index_(index), rerank_(rerank) {}
 
   QueryResult Search(const QuerySpec& q) const override;
   void SearchBatch(const QuerySpec* qs, size_t n,
@@ -37,7 +36,6 @@ class IvfService : public SearchService {
 
   const ivf::IvfIndex& index_;
   size_t rerank_;
-  refine::RerankMode mode_;
 };
 
 }  // namespace rpq::serve

@@ -13,7 +13,6 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "obs/flight_recorder.h"
 #include "serve/batcher.h"
 
 namespace rpq::serve {
@@ -33,26 +32,6 @@ obs::HistogramId LatencyHistogram() {
 
 inline uint64_t SecondsToNanos(double seconds) {
   return seconds > 0 ? static_cast<uint64_t>(seconds * 1e9) : 0;
-}
-
-// Feeds one completed query to the flight recorder (loadgen paths that do
-// not route through ServingEngine::Submit — the closed loop calls the
-// service directly, and batched open-loop arrivals dispatch via Execute).
-void ObserveQuery(const QuerySpec& spec, const QueryResult& r,
-                  uint64_t latency_nanos) {
-  obs::FlightRecorder& recorder = obs::GlobalFlightRecorder();
-  if (!recorder.enabled()) return;
-  obs::QueryObservation o;
-  o.latency_us = latency_nanos / 1000;
-  o.k = static_cast<uint32_t>(spec.k);
-  o.width = static_cast<uint32_t>(spec.beam_width);
-  o.degraded = r.degraded;
-  o.deadline_exceeded = r.deadline_exceeded;
-  o.shed = r.shed;
-  o.hedged = r.hedged;
-  o.shards_lost = static_cast<uint32_t>(r.shards_lost);
-  o.trace = spec.trace;
-  recorder.Observe(o);
 }
 
 // Per-thread degradation tallies, summed into the report at the end.
@@ -137,9 +116,8 @@ LoadReport RunClosedLoop(const SearchService& service, const Dataset& queries,
       for (;;) {
         const size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= total) break;
-        QuerySpec spec{queries[i % queries.size()], options.k,
-                       options.beam_width};
-        spec.deadline_us = options.deadline_us;
+        QuerySpec spec = options.spec;
+        spec.query = queries[i % queries.size()];
         Timer lat;
         QueryResult r = service.Search(spec);
         const uint64_t nanos =
@@ -147,7 +125,8 @@ LoadReport RunClosedLoop(const SearchService& service, const Dataset& queries,
         latencies[t].Record(nanos);
         // Live-record into the registry when metrics are on, so a scraper's
         // window sees latency move DURING the run, not only after the final
-        // merge below.
+        // merge below. The closed loop calls the service directly, so it
+        // feeds the flight recorder itself.
         if (live_metrics) obs::Record(LatencyHistogram(), nanos);
         ObserveQuery(spec, r, nanos);
         hops[t] += r.stats.hops;
@@ -242,12 +221,7 @@ LoadReport RunOpenLoop(const ServingEngine& engine, const Dataset& queries,
         // Per-query submissions already fed the recorder inside
         // ServingEngine::Submit; only the batched path (which dispatches
         // via Execute, bypassing Submit) is observed here.
-        if (batched) {
-          QuerySpec spec;
-          spec.k = options.k;
-          spec.beam_width = options.beam_width;
-          ObserveQuery(spec, r, nanos);
-        }
+        if (batched) ObserveQuery(options.spec, r, nanos);
       }
       total_hops += r.stats.hops;
       total_io += r.simulated_io_seconds;
@@ -268,8 +242,8 @@ LoadReport RunOpenLoop(const ServingEngine& engine, const Dataset& queries,
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(next_arrival));
     std::this_thread::sleep_until(arrival);
-    QuerySpec spec{queries[i % queries.size()], options.k, options.beam_width};
-    spec.deadline_us = options.deadline_us;
+    QuerySpec spec = options.spec;
+    spec.query = queries[i % queries.size()];
     auto fut = batcher != nullptr ? batcher->Submit(spec) : engine.Submit(spec);
     {
       std::lock_guard<std::mutex> lk(mu);

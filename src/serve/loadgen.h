@@ -40,8 +40,10 @@ LatencySummary SummarizeLatencies(std::vector<double> seconds);
 LatencySummary SummarizeHistogramNanos(const obs::HistogramData& hist);
 
 struct LoadgenOptions {
-  size_t k = 10;
-  size_t beam_width = 64;
+  /// Every issued query's knobs (k, beam_width, rerank, rerank_mode,
+  /// deadline_us) as they reach the service; `query` is replaced by each
+  /// query-set row, and `trace` must stay null (a trace is per query).
+  QuerySpec spec;
   size_t threads = 4;        ///< closed loop: client threads
   size_t total_queries = 0;  ///< 0 = one pass over the query set
   double arrival_qps = 0;    ///< open loop: target arrival rate (required)
@@ -51,8 +53,6 @@ struct LoadgenOptions {
   /// serve.batch_occupancy metric). 0/1 = unbatched.
   size_t batch = 0;
   uint64_t seed = 42;
-  /// Per-query latency budget forwarded as QuerySpec::deadline_us (0 = none).
-  uint64_t deadline_us = 0;
 };
 
 struct LoadReport {

@@ -15,6 +15,27 @@ void NoteDeadline(QueryResult* r) {
   }
 }
 
+void ForEachUniformRun(
+    const QuerySpec* qs, size_t n,
+    const std::function<void(size_t, const std::vector<const float*>&)>&
+        serve_run) {
+  std::vector<const float*> queries;
+  for (size_t i = 0; i < n;) {
+    size_t j = i + 1;
+    while (j < n && qs[j].k == qs[i].k &&
+           qs[j].beam_width == qs[i].beam_width &&
+           qs[j].rerank == qs[i].rerank &&
+           qs[j].rerank_mode == qs[i].rerank_mode &&
+           qs[j].deadline_us == qs[i].deadline_us) {
+      ++j;
+    }
+    queries.clear();
+    for (size_t t = i; t < j; ++t) queries.push_back(qs[t].query);
+    serve_run(i, queries);
+    i = j;
+  }
+}
+
 refine::RerankSpec MemoryIndexService::SpecFor(const QuerySpec& q) const {
   return {q.rerank,
           refine::SanitizeRequestedMode(q.rerank_mode, index_.stores_vectors(),
@@ -31,37 +52,22 @@ QueryResult MemoryIndexService::Search(const QuerySpec& q) const {
 
 void MemoryIndexService::SearchBatch(const QuerySpec* qs, size_t n,
                                      QueryResult* out) const {
-  // The index's batch path only amortizes across uniform
-  // (k, beam, rerank request) runs; split the batch into maximal such runs
-  // (batcher batches almost always are one run).
-  size_t i = 0;
-  std::vector<const float*> queries;
-  while (i < n) {
-    size_t j = i;
-    while (j < n && qs[j].k == qs[i].k &&
-           qs[j].beam_width == qs[i].beam_width &&
-           qs[j].rerank == qs[i].rerank &&
-           qs[j].rerank_mode == qs[i].rerank_mode &&
-           qs[j].deadline_us == qs[i].deadline_us) {
-      ++j;
+  ForEachUniformRun(qs, n, [&](size_t first,
+                               const std::vector<const float*>& queries) {
+    const QuerySpec& q = qs[first];
+    auto res = index_.SearchBatch(queries.data(), queries.size(), q.k,
+                                  {q.beam_width, q.k, DeadlineFor(q)}, mode_,
+                                  SpecFor(q), q.trace);
+    for (size_t t = 0; t < res.size(); ++t) {
+      out[first + t] = {std::move(res[t].results), res[t].stats, 0.0};
+      NoteDeadline(&out[first + t]);
     }
-    queries.clear();
-    for (size_t t = i; t < j; ++t) queries.push_back(qs[t].query);
-    auto res = index_.SearchBatch(
-        queries.data(), queries.size(), qs[i].k,
-        {qs[i].beam_width, qs[i].k, DeadlineFor(qs[i])}, mode_, SpecFor(qs[i]),
-        qs[i].trace);
-    for (size_t t = i; t < j; ++t) {
-      out[t] = {std::move(res[t - i].results), res[t - i].stats, 0.0};
-      NoteDeadline(&out[t]);
-    }
-    i = j;
-  }
+  });
 }
 
 QueryResult DiskIndexService::Search(const QuerySpec& q) const {
   auto res = index_.Search(q.query, q.k, {q.beam_width, q.k, DeadlineFor(q)},
-                           q.trace, {q.io_width, q.readahead});
+                           q.trace);
   QueryResult out{std::move(res.results), res.stats,
                   res.io.simulated_seconds};
   // Degradation can come from the deadline OR from a block that stayed

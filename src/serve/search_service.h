@@ -30,8 +30,9 @@ struct QuerySpec {
   size_t k = 10;
   size_t beam_width = 64;  ///< beam for graph backends, nprobe for IVF
   /// Refinement request (width + stage), forwarded to backends with a
-  /// rerank epilogue (FastScan memory, IVF); zero/kAuto defers to the
-  /// backend's configured defaults. Other backends ignore it.
+  /// rerank epilogue (FastScan memory, IVF); width 0 defers to the auto
+  /// rule (or IvfService's default width), kAuto to exact when the backend
+  /// stores raw rows, float-ADC otherwise. Other backends ignore it.
   size_t rerank = 0;
   refine::RerankMode rerank_mode = refine::RerankMode::kAuto;
   /// When set, receives per-stage spans for this query (obs/trace.h). The
@@ -43,11 +44,6 @@ struct QuerySpec {
   /// partial answer found so far with QueryResult::degraded set — a late
   /// query is truncated, never blocked on.
   uint64_t deadline_us = 0;
-  /// Async disk knobs (hybrid backend only; others ignore them): beam
-  /// expansions submitted per I/O wave and speculative readahead reads per
-  /// wave. 0 defers to the index's build-time defaults (disk/disk_index.h).
-  size_t io_width = 0;
-  size_t readahead = 0;
 };
 
 /// What one served query returned, plus its costs.
@@ -74,6 +70,17 @@ inline Deadline DeadlineFor(const QuerySpec& q) {
 /// the serve.deadline_exceeded counter; every service funnels through this
 /// after its index-level search returns.
 void NoteDeadline(QueryResult* r);
+
+/// Splits qs[0, n) into maximal runs that agree on every per-query knob
+/// (k, beam_width, rerank, rerank_mode, deadline_us) and calls
+/// `serve_run(first, queries)` once per run, with `first` the run's offset in
+/// qs and `queries` its query pointers. Index batch paths amortize only
+/// across such runs (batcher batches almost always are one).
+void ForEachUniformRun(
+    const QuerySpec* qs, size_t n,
+    const std::function<void(size_t first,
+                             const std::vector<const float*>& queries)>&
+        serve_run);
 
 /// Thread-safe search front end over one index backend.
 class SearchService {

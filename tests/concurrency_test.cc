@@ -149,11 +149,13 @@ TEST(ConcurrencyTest, HnswIndexConcurrentSearchMatchesSerial) {
 // AsyncIoContext + prefetch cache over the shared const device, so in-flight
 // wide waves with speculation from many threads must stay coherent
 // (TSan-checked) and deterministic. Exercised through DiskIndexService so
-// the QuerySpec knob plumbing is on the tested path.
+// the serving path is the tested one.
 TEST(ConcurrencyTest, DiskServiceConcurrentAsyncQueriesMatchSerial) {
   MemoryFixture f = MakeMemoryFixture(600, 12);
   disk::DiskIndexOptions dopt;
   dopt.ssd.queue_depth = 8;
+  dopt.io_width = 8;
+  dopt.readahead = 4;
   auto disk = disk::DiskIndex::Build(f.base, f.graph, *f.pq, dopt);
   serve::DiskIndexService service(*disk);
   const auto make_spec = [&](size_t q) {
@@ -161,8 +163,6 @@ TEST(ConcurrencyTest, DiskServiceConcurrentAsyncQueriesMatchSerial) {
     spec.query = f.queries[q];
     spec.k = 10;
     spec.beam_width = 32;
-    spec.io_width = 8;
-    spec.readahead = 4;
     return spec;
   };
 

@@ -14,7 +14,6 @@
 #include "graph/vamana.h"
 #include "quant/adc.h"
 #include "quant/pq.h"
-#include "serve/search_service.h"
 
 namespace rpq::disk {
 namespace {
@@ -282,14 +281,17 @@ TEST_F(DiskIndexTest, FastScanTraversalMatchesBeamSearch) {
 }
 
 TEST_F(DiskIndexTest, WideWavesCutSimulatedTimeRecallNeutral) {
-  // Same index, per-query knob override: 8-wide waves at QD 8 overlap what
-  // the sequential path serializes.
+  // The same layout built with 8-wide waves: at QD 8 they overlap what the
+  // sequential path serializes.
+  DiskIndexOptions dopt;
+  dopt.io_width = 8;
+  auto wide = DiskIndex::Build(base_, graph_, *pq_, dopt);
   double sync_io = 0, async_io = 0;
   std::vector<std::vector<Neighbor>> sync_res(queries_.size());
   std::vector<std::vector<Neighbor>> async_res(queries_.size());
   for (size_t q = 0; q < queries_.size(); ++q) {
-    auto a = index_->Search(queries_[q], 10, {64, 10}, nullptr, {1, 0});
-    auto b = index_->Search(queries_[q], 10, {64, 10}, nullptr, {8, 0});
+    auto a = index_->Search(queries_[q], 10, {64, 10});
+    auto b = wide->Search(queries_[q], 10, {64, 10});
     sync_io += a.io.simulated_seconds;
     async_io += b.io.simulated_seconds;
     sync_res[q] = std::move(a.results);
@@ -350,23 +352,6 @@ TEST_F(DiskIndexTest, DeadlineExpiresMidWaveReturnsDegradedPartial) {
   // Entry wave (1 read) + one 8-wide wave at most before the budget check.
   EXPECT_LE(res.stats.hops, 9u);
   EXPECT_LT(res.results.size(), 10u);
-}
-
-TEST_F(DiskIndexTest, ServiceForwardsAsyncKnobs) {
-  // QuerySpec.io_width/readahead reach the index: the service's degraded
-  // flags and results match a direct call with the same DiskIoOptions.
-  serve::DiskIndexService service(*index_);
-  for (size_t q = 0; q < 5; ++q) {
-    serve::QuerySpec spec;
-    spec.query = queries_[q];
-    spec.k = 10;
-    spec.beam_width = 48;
-    spec.io_width = 8;
-    spec.readahead = 4;
-    auto via_service = service.Search(spec);
-    auto direct = index_->Search(queries_[q], 10, {48, 10}, nullptr, {8, 4});
-    EXPECT_EQ(via_service.results, direct.results) << "query " << q;
-  }
 }
 
 }  // namespace

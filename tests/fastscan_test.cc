@@ -255,10 +255,11 @@ IndexFixture MakeIndexFixture(size_t n = 3000, size_t nq = 40, size_t m = 32,
 }
 
 double RecallOf(const IndexFixture& f, core::DistanceMode mode,
-                size_t beam = 64, size_t k = 10) {
+                size_t rerank = 0, size_t beam = 64, size_t k = 10) {
   std::vector<std::vector<Neighbor>> results(f.queries.size());
   for (size_t q = 0; q < f.queries.size(); ++q) {
-    results[q] = f.index->Search(f.queries[q], k, {beam, k}, mode).results;
+    results[q] =
+        f.index->Search(f.queries[q], k, {beam, k}, mode, {rerank}).results;
   }
   return eval::MeanRecallAtK(results, f.gt, k);
 }
@@ -313,10 +314,7 @@ TEST(MemoryIndexFastScanTest, SearchBatchMatchesPerQuerySearch) {
 
 TEST(MemoryIndexFastScanTest, RerankKnobWidensCandidateSet) {
   IndexFixture f = MakeIndexFixture(900, 10);
-  f.index->set_fastscan_rerank(64);
-  EXPECT_EQ(f.index->fastscan_rerank(), 64u);
-  double wide = RecallOf(f, core::DistanceMode::kFastScan);
-  f.index->set_fastscan_rerank(0);
+  double wide = RecallOf(f, core::DistanceMode::kFastScan, /*rerank=*/64);
   double base = RecallOf(f, core::DistanceMode::kFastScan);
   // Reranking is by the float-ADC *estimate*, not exact distance, so a wider
   // candidate list is not strictly monotone in recall — it just must not

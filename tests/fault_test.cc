@@ -398,11 +398,11 @@ TEST_F(ServingFaultTest, ShedWatermarkRefusesExcessLoad) {
 
 TEST_F(ServingFaultTest, BrownoutShrinksAdmittedQueries) {
   std::mutex mu;
-  std::vector<size_t> beams;
+  std::vector<serve::QuerySpec> seen;
   serve::FunctionService slow([&](const serve::QuerySpec& q) {
     {
       std::lock_guard<std::mutex> lock(mu);
-      beams.push_back(q.beam_width);
+      seen.push_back(q);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     return serve::QueryResult{};
@@ -411,13 +411,22 @@ TEST_F(ServingFaultTest, BrownoutShrinksAdmittedQueries) {
   eopt.threads = 1;
   eopt.brownout_watermark = 1;  // second concurrent query browns out
   serve::ServingEngine engine(slow, eopt);
-  auto f1 = engine.Submit({queries_[0], 10, 64});
-  auto f2 = engine.Submit({queries_[1], 10, 64});
+  serve::QuerySpec spec{queries_[0], 10, 64};
+  spec.rerank = 100;
+  auto f1 = engine.Submit(spec);
+  auto f2 = engine.Submit(spec);
+  // Brownout never raises a knob: a beam already below brownout_min_beam
+  // (and below k; graph searches widen it to k themselves) stays as asked.
+  auto f3 = engine.Submit({queries_[1], 10, 8});
   f1.get();
   f2.get();
-  ASSERT_EQ(beams.size(), 2u);
-  EXPECT_EQ(beams[0], 64u);  // admitted at depth 1: untouched
-  EXPECT_EQ(beams[1], 32u);  // depth 2 > watermark: beam halved
+  f3.get();
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].beam_width, 64u);  // admitted at depth 1: untouched
+  EXPECT_EQ(seen[0].rerank, 100u);
+  EXPECT_EQ(seen[1].beam_width, 32u);  // depth 2 > watermark: beam halved
+  EXPECT_EQ(seen[1].rerank, 50u);      // and the rerank request too
+  EXPECT_LE(seen[2].beam_width, 8u);   // depth 3, browned out, not raised
 }
 
 TEST_F(ServingFaultTest, AllocFailureInjectionForcesShed) {

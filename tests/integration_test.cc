@@ -12,6 +12,7 @@
 #include "data/synthetic.h"
 #include "disk/disk_index.h"
 #include "eval/recall.h"
+#include "graph/beam_search.h"
 #include "graph/hnsw.h"
 #include "graph/vamana.h"
 #include "quant/adc.h"
@@ -110,6 +111,39 @@ TEST_F(PipelineTest, SdcMatchesSymmetricDistanceSemantics) {
     float via_decode = quant::SymmetricDistance(
         *pq, qcode.data(), codes.data() + i * pq->code_size());
     EXPECT_NEAR(via_table, via_decode, 1e-2f * (1 + via_decode)) << i;
+  }
+}
+
+// kSdc is the float-table search run on an SDC table: Search and SearchBatch
+// (20 queries, two tiles) must equal graph::BeamSearch over an
+// AdcBatchOracle on quant::SdcTable, answers and work alike.
+TEST_F(PipelineTest, SdcSearchIsBeamSearchOverSdcTable) {
+  quant::PqOptions popt;
+  popt.m = 8;
+  popt.k = 32;
+  auto pq = quant::PqQuantizer::Train(base_, popt);
+  auto index = core::MemoryIndex::Build(base_, graph_, *pq);
+  graph::BeamSearchOptions opt;
+  opt.beam_width = 32;
+  opt.k = 10;
+  std::vector<const float*> ptrs;
+  for (size_t q = 0; q < queries_.size(); ++q) ptrs.push_back(queries_[q]);
+  auto batch = index->SearchBatch(ptrs.data(), ptrs.size(), 10, opt,
+                                  core::DistanceMode::kSdc);
+  ASSERT_EQ(batch.size(), queries_.size());
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    quant::SdcTable table(*pq, queries_[q]);
+    quant::AdcBatchOracle oracle{table, index->codes().data(),
+                                 pq->code_size()};
+    graph::SearchStats stats;
+    auto want = graph::BeamSearch(graph_, graph_.entry_point(), oracle, opt,
+                                  graph::TlsVisitedTable(base_.size()), &stats);
+    auto single = index->Search(queries_[q], 10, opt, core::DistanceMode::kSdc);
+    for (const core::MemorySearchResult* got : {&single, &batch[q]}) {
+      EXPECT_EQ(got->results, want) << "q=" << q;
+      EXPECT_EQ(got->stats.hops, stats.hops) << "q=" << q;
+      EXPECT_EQ(got->stats.dist_comps, stats.dist_comps) << "q=" << q;
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -62,8 +63,8 @@ TEST(ServingEngineTest, ConcurrentSearchEqualsSerial) {
   ServingEngine serial(service, {1});
   ServingEngine parallel(service, {4});
 
-  auto a = serial.SearchAll(f.queries, 10, 48);
-  auto b = parallel.SearchAll(f.queries, 10, 48);
+  auto a = serial.SearchAll(f.queries, {nullptr, 10, 48});
+  auto b = parallel.SearchAll(f.queries, {nullptr, 10, 48});
   ASSERT_EQ(a.size(), b.size());
   for (size_t q = 0; q < a.size(); ++q) {
     EXPECT_EQ(a[q].results, b[q].results) << "query " << q;
@@ -228,8 +229,8 @@ TEST(ShardedServiceTest, ShardedMemoryIndexRecallMatchesUnsharded) {
 
   ServingEngine e1(single, {2});
   ServingEngine e2(*sharded.service, {2});
-  auto r1 = e1.SearchAll(f.queries, 10, 64);
-  auto r2 = e2.SearchAll(f.queries, 10, 64);
+  auto r1 = e1.SearchAll(f.queries, {});
+  auto r2 = e2.SearchAll(f.queries, {});
   std::vector<std::vector<Neighbor>> res1(r1.size()), res2(r2.size());
   for (size_t q = 0; q < r1.size(); ++q) {
     res1[q] = r1[q].results;
@@ -315,8 +316,7 @@ TEST(LoadgenTest, ClosedLoopCompletesAndAccounts) {
   Fixture f = MakeFixture(600, 16);
   MemoryIndexService service(*f.index);
   LoadgenOptions opt;
-  opt.k = 10;
-  opt.beam_width = 32;
+  opt.spec.beam_width = 32;
   opt.threads = 3;
   opt.total_queries = 200;
   LoadReport rep = RunClosedLoop(service, f.queries, opt);
@@ -332,14 +332,51 @@ TEST(LoadgenTest, OpenLoopCompletesAtOfferedRate) {
   MemoryIndexService service(*f.index);
   ServingEngine engine(service, {2});
   LoadgenOptions opt;
-  opt.k = 10;
-  opt.beam_width = 32;
+  opt.spec.beam_width = 32;
   opt.total_queries = 60;
   opt.arrival_qps = 3000;
   LoadReport rep = RunOpenLoop(engine, f.queries, opt);
   EXPECT_EQ(rep.completed, 60u);
   EXPECT_DOUBLE_EQ(rep.offered_qps, 3000.0);
   EXPECT_GT(rep.latency.p50_ms, 0.0);
+}
+
+// Every loadgen path delivers the spec template's knobs to the service
+// unchanged: the closed loop, the open loop through ServingEngine::Submit,
+// and the batched open loop through the MicroBatcher and SearchBatch.
+TEST(LoadgenTest, SpecTemplateReachesTheService) {
+  Dataset base, queries;
+  synthetic::MakeBaseAndQueries("sift", 100, 8, /*seed=*/5, &base, &queries);
+  std::mutex mu;
+  std::vector<QuerySpec> seen;
+  FunctionService recorder([&](const QuerySpec& q) {
+    std::lock_guard<std::mutex> lock(mu);
+    seen.push_back(q);
+    return QueryResult{};
+  });
+  ServingEngine engine(recorder, {2});
+  LoadgenOptions opt;
+  opt.spec.k = 7;
+  opt.spec.beam_width = 24;
+  opt.spec.rerank = 40;
+  opt.spec.rerank_mode = refine::RerankMode::kExact;
+  opt.spec.deadline_us = 5000;
+  opt.threads = 2;
+  opt.total_queries = 20;
+  opt.arrival_qps = 5000;
+  RunClosedLoop(recorder, queries, opt);
+  RunOpenLoop(engine, queries, opt);
+  opt.batch = 4;
+  RunOpenLoop(engine, queries, opt);
+  ASSERT_EQ(seen.size(), 60u);
+  for (const QuerySpec& q : seen) {
+    EXPECT_NE(q.query, nullptr);
+    EXPECT_EQ(q.k, 7u);
+    EXPECT_EQ(q.beam_width, 24u);
+    EXPECT_EQ(q.rerank, 40u);
+    EXPECT_EQ(q.rerank_mode, refine::RerankMode::kExact);
+    EXPECT_EQ(q.deadline_us, 5000u);
+  }
 }
 
 // ---------------------------------------------------- eval integration ----
@@ -446,7 +483,7 @@ TEST(IvfServiceTest, EngineAndBatcherMatchDirectSearch) {
   }
 
   ServingEngine engine(service, {3});
-  auto via_engine = engine.SearchAll(queries, k, nprobe);
+  auto via_engine = engine.SearchAll(queries, {nullptr, k, nprobe});
   ASSERT_EQ(via_engine.size(), queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
     EXPECT_EQ(via_engine[q].results, direct[q]) << "q=" << q;

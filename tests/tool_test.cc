@@ -98,6 +98,9 @@ TEST_F(ToolTest, SearchAndServeBenchServeTheSameBackend) {
   const std::string model = " --model " + Path("model.rpqq");
   for (const std::string& backend :
        {graph + model + " --mode fastscan --beam 16",
+        graph + model + " --mode sdc --beam 16",
+        graph + model +
+            " --mode fastscan --beam 32 --rerank 24 --rerank-mode exact",
         graph + model +
             " --index disk --queue-depth 8 --io-width 8 --readahead 4"
             " --beam 16",

@@ -29,6 +29,8 @@
 //
 // search and serve-bench share one list of backend flags, parsed in one
 // place (MakeBackend), so the same flags serve the same deployment in both.
+// MakeBackend also gathers the per-query knobs (--k, --beam or --nprobe,
+// --rerank, --rerank-mode) into one serve::QuerySpec that every query copies.
 // search replays its queries serially through the backend's
 // serve::SearchService; serve-bench load-tests that same service.
 //
@@ -490,7 +492,8 @@ struct Backend {
   std::unique_ptr<rpq::serve::SearchService> owned_service;
   rpq::serve::ShardedMemoryIndex sharded;
   const rpq::serve::SearchService* service = nullptr;
-  size_t beam = 64;  ///< per-query QuerySpec::beam_width; nprobe for IVF
+  /// Every query's knobs: k, beam (nprobe for IVF), rerank, rerank_mode.
+  rpq::serve::QuerySpec spec;
 };
 
 // The IVF build step, shared by MakeBackend and build-ivf: builds an index
@@ -598,7 +601,10 @@ rpq::Status MakeBackend(const Flags& flags, const Dataset& base, Backend* b) {
         "--mode sdc|fastscan, --rerank, --rerank-mode, and --store-vectors "
         "are not supported there");
   }
-  b->beam = flags.GetSize("beam", 64);
+  b->spec.k = flags.GetSize("k", 10);
+  b->spec.beam_width = flags.GetSize("beam", 64);
+  b->spec.rerank = flags.GetSize("rerank", 0);
+  b->spec.rerank_mode = rmode;
 
   if (kind == "ivf") {
     const char* mpath = flags.Get("model");
@@ -615,9 +621,8 @@ rpq::Status MakeBackend(const Flags& flags, const Dataset& base, Backend* b) {
       RPQ_RETURN_NOT_OK(BuildIvf(flags, base, mpath, rmode, b));
     }
     RPQ_RETURN_NOT_OK(CheckIvfRerankMode(rmode, b->ivf.get()));
-    b->beam = flags.GetSize("nprobe", b->ivf->default_nprobe());
-    b->owned_service = std::make_unique<rpq::serve::IvfService>(
-        *b->ivf, flags.GetSize("rerank", 0), rmode);
+    b->spec.beam_width = flags.GetSize("nprobe", b->ivf->default_nprobe());
+    b->owned_service = std::make_unique<rpq::serve::IvfService>(*b->ivf);
     b->service = b->owned_service.get();
     return rpq::Status::OK();
   }
@@ -696,8 +701,6 @@ rpq::Status MakeBackend(const Flags& flags, const Dataset& base, Backend* b) {
           "--mode fastscan needs a 4-bit model with m <= 256 (train with "
           "--nbits 4)");
     }
-    b->memory->set_fastscan_rerank(flags.GetSize("rerank", 0));
-    b->memory->set_rerank_mode(rmode);
     if (rmode == rpq::refine::RerankMode::kLinkCode) {
       // A Link&Code model shaped like the quantizer (same m/K), with its
       // own least-squares neighbor weights.
@@ -854,7 +857,7 @@ int CmdSearch(const Flags& flags) {
   Backend backend;
   auto made = MakeBackend(flags, base.value(), &backend);
   if (!made.ok()) return Fail(made.ToString());
-  const size_t k = flags.GetSize("k", 10);
+  const size_t k = backend.spec.k;
   const size_t nq = queries.value().size();
   auto gt = rpq::ComputeGroundTruth(base.value(), queries.value(), k);
 
@@ -863,10 +866,13 @@ int CmdSearch(const Flags& flags) {
       sweep != nullptr && backend.ivf != nullptr) {
     auto nprobes = ParseSizeList(sweep);
     if (nprobes.empty()) return Fail("--sweep-nprobe expects n1,n2,...");
-    const rpq::serve::SearchService& service = *backend.service;
-    rpq::eval::SearchFn fn = [&service](const float* q, size_t kk,
+    rpq::eval::SearchFn fn = [&backend](const float* q, size_t kk,
                                         size_t nprobe) {
-      rpq::serve::QueryResult r = service.Search({q, kk, nprobe});
+      rpq::serve::QuerySpec spec = backend.spec;
+      spec.query = q;
+      spec.k = kk;
+      spec.beam_width = nprobe;
+      rpq::serve::QueryResult r = backend.service->Search(spec);
       return rpq::eval::SearchOutcome{std::move(r.results), r.stats.hops,
                                       r.simulated_io_seconds};
     };
@@ -893,7 +899,8 @@ int CmdSearch(const Flags& flags) {
   std::vector<rpq::serve::QueryResult> out(nq);
   rpq::Timer timer;
   for (size_t q = 0; q < nq; ++q) {
-    rpq::serve::QuerySpec spec{queries.value()[q], k, backend.beam};
+    rpq::serve::QuerySpec spec = backend.spec;
+    spec.query = queries.value()[q];
     if (trace_on) spec.trace = &traces[q];
     out[q] = backend.service->Search(spec);
   }
@@ -938,11 +945,9 @@ int CmdServeBench(const Flags& flags) {
   if (!queries.ok()) return Fail(queries.status().ToString());
 
   rpq::serve::LoadgenOptions opt;
-  opt.k = flags.GetSize("k", 10);
   opt.threads = flags.GetSize("threads", 4);
   opt.total_queries = flags.GetSize("total", 0);
   opt.batch = flags.GetSize("batch", 0);  // open-loop leg only
-  opt.deadline_us = flags.GetSize("deadline-us", 0);
   const double rate = std::strtod(flags.Get("rate", "0"), nullptr);
   // --metrics-json turns the registry on for the whole run (index build
   // included) and writes the snapshot at the end.
@@ -982,14 +987,16 @@ int CmdServeBench(const Flags& flags) {
   auto made = MakeBackend(flags, base.value(), &backend);
   if (!made.ok()) return Fail(made.ToString());
   const rpq::serve::SearchService& service = *backend.service;
-  opt.beam_width = backend.beam;
+  const size_t k = backend.spec.k;
+  opt.spec = backend.spec;
+  opt.spec.deadline_us = flags.GetSize("deadline-us", 0);
 
   // Recall sanity line (serial replay, k results against exact GT).
-  auto gt = rpq::ComputeGroundTruth(base.value(), queries.value(), opt.k);
+  auto gt = rpq::ComputeGroundTruth(base.value(), queries.value(), k);
   rpq::serve::ServingEngine serial(service, {1});
-  auto outcomes = serial.SearchAll(queries.value(), opt.k, opt.beam_width);
-  std::printf("recall@%zu = %.4f (beam %zu, %zu shards)\n", opt.k,
-              ReplayRecall(outcomes, gt, opt.k), opt.beam_width,
+  auto outcomes = serial.SearchAll(queries.value(), backend.spec);
+  std::printf("recall@%zu = %.4f (beam %zu, %zu shards)\n", k,
+              ReplayRecall(outcomes, gt, k), backend.spec.beam_width,
               std::max<size_t>(backend.sharded.shards.size(), 1));
   PrintDiskIo(backend, outcomes);
 
