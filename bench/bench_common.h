@@ -133,7 +133,6 @@ inline Profile GetProfile(const std::string& name, const Args& args) {
   p.nsg.degree = 32;
   p.nsg.knn_k = 32;
   p.nsg.search_pool = 64;
-  p.nsg.seed = args.seed + 5;
   return p;
 }
 

@@ -28,6 +28,7 @@ std::unique_ptr<MemoryIndex> MemoryIndex::Build(
     const Dataset& base, const graph::ProximityGraph& graph,
     const quant::VectorQuantizer& quantizer,
     const MemoryIndexOptions& options) {
+  RPQ_CHECK_EQ(base.size(), graph.num_vertices());
   auto index = std::unique_ptr<MemoryIndex>(new MemoryIndex(graph, quantizer));
   index->codes_ = quantizer.EncodeDataset(base);
   index->dim_ = base.dim();

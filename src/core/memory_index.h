@@ -56,6 +56,7 @@ struct MemoryIndexOptions {
 /// threads may search one index concurrently with no shared mutable state.
 class MemoryIndex {
  public:
+  /// `graph` has one vertex per row of `base`.
   static std::unique_ptr<MemoryIndex> Build(
       const Dataset& base, const graph::ProximityGraph& graph,
       const quant::VectorQuantizer& quantizer,

@@ -1,6 +1,7 @@
 // Generic best-first beam search over a proximity graph (paper §3.1).
 // The distance oracle is a template parameter, so one routine serves exact
-// search, in-memory ADC and FastScan search, and HNSW construction.
+// search, in-memory ADC and FastScan search, and graph construction
+// (HNSW's layer search and graph::PoolSearch).
 //
 // Hot-loop layout: the beam is one flat sorted array of {dist, id, expanded}
 // entries (a single memmove per insert instead of a vector<Neighbor> plus a

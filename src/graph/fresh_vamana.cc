@@ -6,6 +6,7 @@
 #include "common/distance.h"
 #include "common/logging.h"
 #include "graph/beam_search.h"
+#include "graph/build_steps.h"
 
 namespace rpq::graph {
 
@@ -22,33 +23,15 @@ bool FreshVamanaIndex::IsDeleted(uint32_t id) const {
   return deleted_[id];
 }
 
-std::vector<Neighbor> FreshVamanaIndex::CollectCandidates(
-    const float* vec) const {
-  std::vector<Neighbor> pool;
-  if (data_.empty()) return pool;
-  BeamSearchOptions bopt;
-  bopt.beam_width = opt_.build_beam;
-  bopt.k = opt_.build_beam;
-  BeamSearch(
-      graph_, graph_.entry_point(),
-      [&](uint32_t u) {
-        float d = SquaredL2(vec, data_[u], dim_);
-        pool.push_back({d, u});
-        return d;
-      },
-      bopt, TlsVisitedTable(data_.size()));
-  return pool;
-}
-
-void FreshVamanaIndex::PruneInto(uint32_t v, std::vector<Neighbor> pool) {
+std::vector<uint32_t> FreshVamanaIndex::PruneLive(
+    uint32_t v, std::vector<Neighbor> pool) const {
   // Tombstoned vertices must not become edges.
   pool.erase(std::remove_if(pool.begin(), pool.end(),
                             [&](const Neighbor& nb) {
                               return deleted_[nb.id] || nb.id == v;
                             }),
              pool.end());
-  graph_.Neighbors(v) = RobustPrune(data_, v, std::move(pool), opt_.alpha,
-                                    opt_.degree);
+  return RobustPrune(data_, v, std::move(pool), opt_.alpha, opt_.degree);
 }
 
 uint32_t FreshVamanaIndex::Insert(const float* vec) {
@@ -63,23 +46,14 @@ uint32_t FreshVamanaIndex::Insert(const float* vec) {
     return id;  // first vertex: entry point, no edges yet
   }
 
-  std::vector<Neighbor> pool = CollectCandidates(vec);
-  PruneInto(id, std::move(pool));
-
-  // Reverse edges with pruning on overflow (as in batch Vamana).
-  for (uint32_t u : graph_.Neighbors(id)) {
-    auto& unb = graph_.Neighbors(u);
-    if (std::find(unb.begin(), unb.end(), id) != unb.end()) continue;
-    unb.push_back(id);
-    if (unb.size() > opt_.degree) {
-      std::vector<Neighbor> cand;
-      cand.reserve(unb.size());
-      for (uint32_t w : unb) {
-        cand.push_back({SquaredL2(data_[u], data_[w], dim_), w});
-      }
-      PruneInto(u, std::move(cand));
-    }
-  }
+  // Vamana's insert: pool search from the entry, prune, reverse edges.
+  std::vector<Neighbor> pool =
+      PoolSearch(graph_, graph_.entry_point(), data_, vec, opt_.build_beam);
+  graph_.Neighbors(id) = PruneLive(id, std::move(pool));
+  AddReverseEdges(&graph_, data_, id, opt_.degree,
+                  [this](uint32_t u, std::vector<Neighbor> cand) {
+                    return PruneLive(u, std::move(cand));
+                  });
   return id;
 }
 
@@ -136,7 +110,7 @@ void FreshVamanaIndex::Consolidate() {
         }
       }
     }
-    PruneInto(p, std::move(pool));
+    nb = PruneLive(p, std::move(pool));
   }
   // Drop tombstoned adjacency so searches no longer traverse them.
   for (uint32_t v = 0; v < n; ++v) {

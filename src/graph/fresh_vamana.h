@@ -58,10 +58,9 @@ class FreshVamanaIndex {
   const Dataset& data() const { return data_; }
 
  private:
-  /// Greedy pool collection from the entry (Vamana's insert search).
+  /// RobustPrune over the live candidates other than v: v's new out-list.
   /// Caller holds mu_ (exclusive).
-  std::vector<Neighbor> CollectCandidates(const float* vec) const;
-  void PruneInto(uint32_t v, std::vector<Neighbor> pool);
+  std::vector<uint32_t> PruneLive(uint32_t v, std::vector<Neighbor> pool) const;
 
   size_t dim_;
   VamanaOptions opt_;

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include "common/file_io.h"
+#include "graph/build_steps.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -30,22 +31,8 @@ DegreeStats ProximityGraph::ComputeDegreeStats() const {
 
 double ProximityGraph::ReachableFraction() const {
   if (adj_.empty()) return 0.0;
-  std::vector<bool> seen(adj_.size(), false);
-  std::vector<uint32_t> stack{entry_};
-  seen[entry_] = true;
-  size_t count = 0;
-  while (!stack.empty()) {
-    uint32_t v = stack.back();
-    stack.pop_back();
-    ++count;
-    for (uint32_t u : adj_[v]) {
-      if (!seen[u]) {
-        seen[u] = true;
-        stack.push_back(u);
-      }
-    }
-  }
-  return static_cast<double>(count) / adj_.size();
+  std::vector<bool> reached(adj_.size(), false);
+  return static_cast<double>(FloodFill(*this, entry_, &reached)) / adj_.size();
 }
 
 namespace {

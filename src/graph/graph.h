@@ -38,7 +38,7 @@ class ProximityGraph {
 
   DegreeStats ComputeDegreeStats() const;
 
-  /// Fraction of vertices reachable from the entry point by BFS.
+  /// Fraction of vertices reachable from the entry point (graph::FloodFill).
   double ReachableFraction() const;
 
   /// Binary (de)serialization so expensive builds can be cached on disk.

@@ -6,6 +6,7 @@
 #include "common/distance.h"
 #include "common/logging.h"
 #include "graph/beam_search.h"
+#include "graph/build_steps.h"
 
 namespace rpq::graph {
 namespace {
@@ -15,6 +16,25 @@ auto ExactL2(const Dataset& base, const float* query) {
   return [&base, query](uint32_t v) {
     return SquaredL2(query, base[v], base.dim());
   };
+}
+
+// Malkov's heuristic neighbor selection (Algorithm 4): the MRNG rule, then
+// backfilled with the nearest rejected candidates when diversity pruning
+// kept fewer than m.
+std::vector<uint32_t> SelectWithBackfill(const Dataset& base, uint32_t p,
+                                         std::vector<Neighbor> candidates,
+                                         size_t m) {
+  std::vector<uint32_t> selected = MrngSelect(base, p, candidates, m);
+  if (selected.size() < m) {
+    std::sort(candidates.begin(), candidates.end());
+    for (const Neighbor& c : candidates) {
+      if (selected.size() >= m) break;
+      if (std::find(selected.begin(), selected.end(), c.id) == selected.end()) {
+        selected.push_back(c.id);
+      }
+    }
+  }
+  return selected;
 }
 
 }  // namespace
@@ -31,38 +51,6 @@ std::unique_ptr<HnswIndex> HnswIndex::Build(const Dataset& base,
   auto index = std::unique_ptr<HnswIndex>(new HnswIndex(base, options));
   for (uint32_t i = 0; i < base.size(); ++i) index->Insert(i);
   return index;
-}
-
-std::vector<uint32_t> HnswIndex::SelectNeighbors(const float* /*query*/,
-                                                 std::vector<Neighbor> candidates,
-                                                 size_t m) const {
-  // Malkov Algorithm 4: keep a candidate only if it is closer to the query
-  // than to every already-selected neighbor (encourages diverse directions).
-  std::sort(candidates.begin(), candidates.end());
-  std::vector<uint32_t> selected;
-  selected.reserve(m);
-  for (const Neighbor& c : candidates) {
-    if (selected.size() >= m) break;
-    bool keep = true;
-    for (uint32_t s : selected) {
-      float d_cs = SquaredL2(base_[c.id], base_[s], base_.dim());
-      if (d_cs < c.dist) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) selected.push_back(c.id);
-  }
-  // Backfill with nearest rejected candidates if diversity pruned too much.
-  if (selected.size() < m) {
-    for (const Neighbor& c : candidates) {
-      if (selected.size() >= m) break;
-      if (std::find(selected.begin(), selected.end(), c.id) == selected.end()) {
-        selected.push_back(c.id);
-      }
-    }
-  }
-  return selected;
 }
 
 void HnswIndex::Insert(uint32_t id) {
@@ -96,23 +84,16 @@ void HnswIndex::Insert(uint32_t id) {
     auto candidates =
         BeamSearch(levels_[l], cur, dist, bopt, TlsVisitedTable(base_.size()));
     if (!candidates.empty()) cur = candidates.front().id;
-    size_t m_layer = (l == 0) ? opt_.m * 2 : opt_.m;
-    auto selected = SelectNeighbors(base_[id], candidates, opt_.m);
+    const size_t m_layer = (l == 0) ? opt_.m * 2 : opt_.m;
     ProximityGraph& layer = levels_[l];
-    layer.Neighbors(id) = selected;
-    for (uint32_t u : selected) {
-      std::vector<uint32_t>& nbrs = layer.Neighbors(u);
-      nbrs.push_back(id);
-      if (nbrs.size() > m_layer) {
-        // Shrink with the same diversity heuristic.
-        std::vector<Neighbor> cand;
-        cand.reserve(nbrs.size());
-        for (uint32_t w : nbrs) {
-          cand.push_back({SquaredL2(base_[u], base_[w], base_.dim()), w});
-        }
-        nbrs = SelectNeighbors(base_[u], std::move(cand), m_layer);
-      }
-    }
+    layer.Neighbors(id) =
+        SelectWithBackfill(base_, id, std::move(candidates), opt_.m);
+    // Overflowing lists shrink with the same diversity heuristic.
+    AddReverseEdges(&layer, base_, id, m_layer,
+                    [&](uint32_t u, std::vector<Neighbor> cand) {
+                      return SelectWithBackfill(base_, u, std::move(cand),
+                                                m_layer);
+                    });
   }
 
   if (level > max_level_) {

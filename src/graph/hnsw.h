@@ -44,10 +44,6 @@ class HnswIndex {
   HnswIndex(const Dataset& base, const HnswOptions& options);
 
   void Insert(uint32_t id);
-  /// Malkov's heuristic neighbor selection (keeps spatially diverse edges).
-  std::vector<uint32_t> SelectNeighbors(const float* query,
-                                        std::vector<Neighbor> candidates,
-                                        size_t m) const;
 
   const Dataset& base_;
   HnswOptions opt_;

@@ -1,39 +1,12 @@
 #include "graph/nsg.h"
 
-#include <algorithm>
-#include <queue>
+#include <vector>
 
-#include "common/distance.h"
 #include "common/logging.h"
-#include "graph/beam_search.h"
+#include "graph/build_steps.h"
 #include "graph/knn_graph.h"
 
 namespace rpq::graph {
-namespace {
-
-// MRNG edge selection: candidate c is kept iff no already-selected s has
-// d(c, s) < d(c, v) (same "occlusion" rule Vamana relaxes with alpha).
-std::vector<uint32_t> MrngSelect(const Dataset& base, uint32_t v,
-                                 std::vector<Neighbor> pool, size_t degree) {
-  std::sort(pool.begin(), pool.end());
-  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
-  std::vector<uint32_t> sel;
-  for (const Neighbor& c : pool) {
-    if (sel.size() >= degree) break;
-    if (c.id == v) continue;
-    bool occluded = false;
-    for (uint32_t s : sel) {
-      if (SquaredL2(base[c.id], base[s], base.dim()) < c.dist) {
-        occluded = true;
-        break;
-      }
-    }
-    if (!occluded) sel.push_back(c.id);
-  }
-  return sel;
-}
-
-}  // namespace
 
 ProximityGraph BuildNsg(const Dataset& base, const NsgOptions& opt) {
   size_t n = base.size();
@@ -53,21 +26,10 @@ ProximityGraph BuildNsg(const Dataset& base, const NsgOptions& opt) {
   // Stage 2: per-node candidate pools via search on the kNN graph, then MRNG.
   ProximityGraph g(n);
   g.set_entry_point(medoid);
-  VisitedTable visited(n);
-  BeamSearchOptions bopt;
-  bopt.beam_width = opt.search_pool;
-  bopt.k = opt.search_pool;
   for (uint32_t v = 0; v < n; ++v) {
-    std::vector<Neighbor> pool;
-    BeamSearch(
-        knn_graph, medoid,
-        [&](uint32_t u) {
-          float d = SquaredL2(base[v], base[u], base.dim());
-          pool.push_back({d, u});
-          return d;
-        },
-        bopt, &visited);
-    for (const Neighbor& e : knn[v]) pool.push_back(e);
+    std::vector<Neighbor> pool =
+        PoolSearch(knn_graph, medoid, base, base[v], opt.search_pool);
+    pool.insert(pool.end(), knn[v].begin(), knn[v].end());
     g.Neighbors(v) = MrngSelect(base, v, std::move(pool), opt.degree);
   }
 
@@ -75,65 +37,22 @@ ProximityGraph BuildNsg(const Dataset& base, const NsgOptions& opt) {
   // v -> u offers the reverse edge u -> v; overflowing lists are re-pruned
   // with the same MRNG rule. Without this, low in-degree vertices are hard
   // to route into and recall caps early.
+  const SelectRule mrng = [&](uint32_t p, std::vector<Neighbor> cand) {
+    return MrngSelect(base, p, std::move(cand), opt.degree);
+  };
   for (uint32_t v = 0; v < n; ++v) {
-    for (uint32_t u : g.Neighbors(v)) {
-      auto& unb = g.Neighbors(u);
-      if (std::find(unb.begin(), unb.end(), v) != unb.end()) continue;
-      unb.push_back(v);
-      if (unb.size() > opt.degree) {
-        std::vector<Neighbor> pool;
-        pool.reserve(unb.size());
-        for (uint32_t w : unb) {
-          pool.push_back({SquaredL2(base[u], base[w], base.dim()), w});
-        }
-        unb = MrngSelect(base, u, std::move(pool), opt.degree);
-      }
-    }
+    AddReverseEdges(&g, base, v, opt.degree, mrng);
   }
 
-  // Stage 3: connectivity — BFS from the root; attach any unreached node to
-  // its nearest reached neighbor (NSG's spanning-tree step).
-  std::vector<bool> reached(n, false);
-  std::queue<uint32_t> bfs;
-  bfs.push(medoid);
-  reached[medoid] = true;
-  while (!bfs.empty()) {
-    uint32_t v = bfs.front();
-    bfs.pop();
-    for (uint32_t u : g.Neighbors(v)) {
-      if (!reached[u]) {
-        reached[u] = true;
-        bfs.push(u);
-      }
-    }
-  }
-  for (uint32_t v = 0; v < n; ++v) {
-    if (reached[v]) continue;
-    // Link the closest reached vector to v (edge from the tree into v).
-    uint32_t best = medoid;
-    float best_d = std::numeric_limits<float>::max();
+  // Stage 3: connectivity (NSG's spanning-tree step): link each unreached
+  // vertex from the nearest reached entry of its (ascending) kNN list, or
+  // from the root when none is reached.
+  RepairReachability(&g, [&](uint32_t v, const std::vector<bool>& reached) {
     for (const Neighbor& e : knn[v]) {
-      if (reached[e.id] && e.dist < best_d) {
-        best_d = e.dist;
-        best = e.id;
-      }
+      if (reached[e.id]) return e.id;
     }
-    g.Neighbors(best).push_back(v);
-    // Everything newly reachable through v joins the reached set.
-    std::queue<uint32_t> q2;
-    q2.push(v);
-    reached[v] = true;
-    while (!q2.empty()) {
-      uint32_t w = q2.front();
-      q2.pop();
-      for (uint32_t u : g.Neighbors(w)) {
-        if (!reached[u]) {
-          reached[u] = true;
-          q2.push(u);
-        }
-      }
-    }
-  }
+    return medoid;
+  });
   return g;
 }
 

@@ -4,7 +4,7 @@
 // in-memory experiments.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "data/dataset.h"
 #include "graph/graph.h"
@@ -16,7 +16,6 @@ struct NsgOptions {
   size_t knn_k = 48;        ///< degree of the initial kNN graph
   size_t search_pool = 96;  ///< candidate pool gathered per node (L)
   size_t degree = 32;       ///< R: max out-degree of the final graph
-  uint64_t seed = 31;
 };
 
 /// Builds NSG over `base`; entry point = medoid (navigating node).

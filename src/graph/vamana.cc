@@ -1,37 +1,15 @@
 #include "graph/vamana.h"
 
-#include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "common/distance.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "graph/beam_search.h"
+#include "graph/build_steps.h"
 #include "graph/knn_graph.h"
 
 namespace rpq::graph {
-
-std::vector<uint32_t> RobustPrune(const Dataset& base, uint32_t p,
-                                  std::vector<Neighbor> candidates, float alpha,
-                                  size_t degree) {
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  std::vector<uint32_t> result;
-  std::vector<bool> removed(candidates.size(), false);
-  for (size_t i = 0; i < candidates.size() && result.size() < degree; ++i) {
-    if (removed[i] || candidates[i].id == p) continue;
-    uint32_t pstar = candidates[i].id;
-    result.push_back(pstar);
-    // Remove candidates dominated by p*: alpha * d(p*, c) <= d(p, c).
-    for (size_t j = i + 1; j < candidates.size(); ++j) {
-      if (removed[j]) continue;
-      float d_pc = candidates[j].dist;
-      float d_sc = SquaredL2(base[pstar], base[candidates[j].id], base.dim());
-      if (alpha * alpha * d_sc <= d_pc) removed[j] = true;  // squared metric
-    }
-  }
-  return result;
-}
 
 ProximityGraph BuildVamana(const Dataset& base, const VamanaOptions& opt) {
   RPQ_CHECK_GT(base.size(), opt.degree);
@@ -49,72 +27,31 @@ ProximityGraph BuildVamana(const Dataset& base, const VamanaOptions& opt) {
   uint32_t medoid = FindMedoid(base);
   g.set_entry_point(medoid);
 
-  VisitedTable visited(n);
   std::vector<uint32_t> order(n);
   for (uint32_t i = 0; i < n; ++i) order[i] = i;
 
-  for (size_t pass = 0; pass < opt.passes; ++pass) {
-    // First pass uses alpha = 1 (pure closeness), later passes the slack
-    // factor — mirroring DiskANN's two-pass schedule.
-    float alpha = (pass + 1 == opt.passes) ? opt.alpha : 1.0f;
+  // DiskANN's two-pass schedule: pure closeness first, then the slack.
+  for (float alpha : {1.0f, opt.alpha}) {
+    const SelectRule prune = [&](uint32_t p, std::vector<Neighbor> cand) {
+      return RobustPrune(base, p, std::move(cand), alpha, opt.degree);
+    };
     rng.Shuffle(&order);
     for (uint32_t v : order) {
-      // Greedy search for v collecting the visited pool as candidates.
-      std::vector<Neighbor> pool;
-      SearchStats stats;
-      BeamSearchOptions bopt;
-      bopt.beam_width = opt.build_beam;
-      bopt.k = opt.build_beam;
-      auto beam = BeamSearch(
-          g, medoid,
-          [&](uint32_t u) {
-            float d = SquaredL2(base[v], base[u], base.dim());
-            pool.push_back({d, u});
-            return d;
-          },
-          bopt, &visited, &stats);
-      // Candidates: everything evaluated during the search + current edges.
+      // Candidates: everything scored by the search + the current edges.
+      std::vector<Neighbor> pool =
+          PoolSearch(g, medoid, base, base[v], opt.build_beam);
       for (uint32_t u : g.Neighbors(v)) {
         pool.push_back({SquaredL2(base[v], base[u], base.dim()), u});
       }
-      g.Neighbors(v) = RobustPrune(base, v, std::move(pool), alpha, opt.degree);
-
-      // Reverse edges with pruning on overflow.
-      for (uint32_t u : g.Neighbors(v)) {
-        auto& unb = g.Neighbors(u);
-        if (std::find(unb.begin(), unb.end(), v) != unb.end()) continue;
-        unb.push_back(v);
-        if (unb.size() > opt.degree) {
-          std::vector<Neighbor> cand;
-          cand.reserve(unb.size());
-          for (uint32_t w : unb) {
-            cand.push_back({SquaredL2(base[u], base[w], base.dim()), w});
-          }
-          unb = RobustPrune(base, u, std::move(cand), alpha, opt.degree);
-        }
-      }
+      g.Neighbors(v) = prune(v, std::move(pool));
+      AddReverseEdges(&g, base, v, opt.degree, prune);
     }
   }
 
-  // Connectivity fix-up: pruning reverse edges can orphan a handful of nodes
-  // (Vamana is a directed graph). Attach every vertex unreachable from the
-  // medoid via an edge from its nearest reachable vertex so routing can
-  // always converge — the same spanning repair NSG applies.
-  std::vector<bool> reached(n, false);
-  std::vector<uint32_t> stack{medoid};
-  reached[medoid] = true;
-  while (!stack.empty()) {
-    uint32_t v = stack.back();
-    stack.pop_back();
-    for (uint32_t u : g.Neighbors(v)) {
-      if (!reached[u]) {
-        reached[u] = true;
-        stack.push_back(u);
-      }
-    }
-  }
-  for (uint32_t v = 0; v < n; ++v) {
-    if (reached[v]) continue;
+  // Pruning reverse edges can orphan a handful of vertices (Vamana is a
+  // directed graph): link each from its nearest reached vertex, by brute
+  // force, so routing can always converge.
+  RepairReachability(&g, [&](uint32_t v, const std::vector<bool>& reached) {
     uint32_t best = medoid;
     float best_d = std::numeric_limits<float>::max();
     for (uint32_t u = 0; u < n; ++u) {
@@ -125,21 +62,8 @@ ProximityGraph BuildVamana(const Dataset& base, const VamanaOptions& opt) {
         best = u;
       }
     }
-    g.Neighbors(best).push_back(v);
-    // Everything hanging off v becomes reachable too.
-    stack.push_back(v);
-    reached[v] = true;
-    while (!stack.empty()) {
-      uint32_t w = stack.back();
-      stack.pop_back();
-      for (uint32_t u : g.Neighbors(w)) {
-        if (!reached[u]) {
-          reached[u] = true;
-          stack.push_back(u);
-        }
-      }
-    }
-  }
+    return best;
+  });
   return g;
 }
 

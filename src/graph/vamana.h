@@ -1,13 +1,11 @@
 // Vamana graph construction — the PG underlying DiskANN [36] and the paper's
 // hybrid-scenario experiments. Random-regular initialization followed by two
-// passes of greedy-search + RobustPrune(alpha), with pruned reverse edges.
+// passes of greedy-search + RobustPrune (alpha = 1, then alpha), with pruned
+// reverse edges (graph/build_steps.h).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "common/topk.h"
 #include "data/dataset.h"
 #include "graph/graph.h"
 
@@ -17,18 +15,11 @@ namespace rpq::graph {
 struct VamanaOptions {
   size_t degree = 32;       ///< R: max out-degree
   size_t build_beam = 64;   ///< L: search list size during construction
-  float alpha = 1.2f;       ///< RobustPrune distance-slack factor
-  size_t passes = 2;        ///< DiskANN runs 2 passes (alpha=1 then alpha)
+  float alpha = 1.2f;       ///< RobustPrune slack of the second pass
   uint64_t seed = 29;
 };
 
 /// Builds the Vamana PG; entry point is the dataset medoid.
 ProximityGraph BuildVamana(const Dataset& base, const VamanaOptions& options);
-
-/// RobustPrune: selects up to `degree` diverse neighbors for `p` from
-/// `candidates` (ascending by distance to p). Exposed for tests.
-std::vector<uint32_t> RobustPrune(const Dataset& base, uint32_t p,
-                                  std::vector<Neighbor> candidates, float alpha,
-                                  size_t degree);
 
 }  // namespace rpq::graph

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include "data/synthetic.h"
 #include "eval/recall.h"
 #include "graph/beam_search.h"
+#include "graph/build_steps.h"
 #include "graph/graph.h"
 #include "graph/hnsw.h"
 #include "graph/knn_graph.h"
@@ -220,7 +222,9 @@ TEST(VamanaTest, RespectsDegreeBound) {
   opt.build_beam = 20;
   auto g = BuildVamana(d, opt);
   auto stats = g.ComputeDegreeStats();
-  EXPECT_LE(stats.max_degree, 10u + 1);  // +1 transient reverse edge allowed
+  // The reverse-edge step always prunes back to the bound; the slack is for
+  // the orphan repair, whose added in-edges are unbounded.
+  EXPECT_LE(stats.max_degree, 10u + 1);
   EXPECT_GT(stats.avg_degree, 2.0);
 }
 
@@ -247,6 +251,78 @@ TEST(VamanaTest, HigherAlphaKeepsMoreEdges) {
   auto tight = RobustPrune(d, 0, cand, 1.0f, 64);
   auto loose = RobustPrune(d, 0, cand, 1.5f, 64);
   EXPECT_GE(loose.size(), tight.size());
+}
+
+// Rows on a line: row i is the 1-d point i, so d(i, j) = (i - j)^2 exactly.
+Dataset LineData(size_t n) {
+  Dataset d(n, 1);
+  for (size_t i = 0; i < n; ++i) d[i][0] = static_cast<float>(i);
+  return d;
+}
+
+TEST(BuildStepsTest, ReverseEdgesFillRoomSkipDuplicatesAndReselect) {
+  Dataset d = LineData(6);
+  ProximityGraph g(6);
+  g.Neighbors(0) = {1, 2, 3};
+  g.Neighbors(2) = {0};     // already links back to 0
+  g.Neighbors(3) = {4, 5};  // full at the cap of 2
+  std::vector<std::pair<uint32_t, std::vector<Neighbor>>> calls;
+  // The caller's rule decides overflow, here "the two farthest".
+  const SelectRule farthest = [&](uint32_t p, std::vector<Neighbor> cand) {
+    calls.push_back({p, cand});
+    std::sort(cand.rbegin(), cand.rend());
+    return std::vector<uint32_t>{cand[0].id, cand[1].id};
+  };
+  AddReverseEdges(&g, d, 0, 2, farthest);
+  EXPECT_EQ(g.Neighbors(1), std::vector<uint32_t>{0});  // had room
+  EXPECT_EQ(g.Neighbors(2), std::vector<uint32_t>{0});  // no duplicate
+  EXPECT_EQ(g.Neighbors(3), (std::vector<uint32_t>{0, 5}));
+  ASSERT_EQ(calls.size(), 1u);  // only the overflowing list is re-selected
+  EXPECT_EQ(calls[0].first, 3u);
+  // Its candidates are its ids (0 appended) with exact distances to 3.
+  const std::vector<Neighbor> want = {{1.0f, 4}, {4.0f, 5}, {9.0f, 0}};
+  EXPECT_EQ(calls[0].second, want);
+  EXPECT_EQ(g.Neighbors(0), (std::vector<uint32_t>{1, 2, 3}));
+}
+
+TEST(BuildStepsTest, RepairLinksEachIslandOnceFromTheRulesPick) {
+  ProximityGraph g(7);
+  g.Neighbors(0) = {1};
+  g.Neighbors(1) = {2};
+  g.Neighbors(3) = {4};  // island {3, 4}
+  g.Neighbors(4) = {3};
+  g.Neighbors(5) = {6};  // island {5, 6}
+  g.Neighbors(6) = {5};
+  g.set_entry_point(0);
+  EXPECT_DOUBLE_EQ(g.ReachableFraction(), 3.0 / 7);
+  std::vector<uint32_t> orphans;
+  // The caller's rule: the highest-id reached vertex.
+  RepairReachability(&g, [&](uint32_t v, const std::vector<bool>& reached) {
+    orphans.push_back(v);
+    uint32_t pick = 0;
+    for (uint32_t u = 0; u < reached.size(); ++u) {
+      if (reached[u]) pick = u;
+    }
+    return pick;
+  });
+  // One in-edge per island, from the vertex the rule picked.
+  EXPECT_EQ(orphans, (std::vector<uint32_t>{3, 5}));
+  EXPECT_EQ(g.Neighbors(2), std::vector<uint32_t>{3});
+  EXPECT_EQ(g.Neighbors(4), (std::vector<uint32_t>{3, 5}));
+  EXPECT_EQ(g.ComputeDegreeStats().num_edges, 8u);
+  EXPECT_DOUBLE_EQ(g.ReachableFraction(), 1.0);
+}
+
+// Why RobustPrune and MRNG stay two rules: c is as far from the selected s
+// as from p, so RobustPrune at alpha = 1 (<=) drops it and MRNG (<) keeps it.
+TEST(BuildStepsTest, MrngKeepsDistanceTiesThatRobustPruneDrops) {
+  Dataset d(3, 2);
+  d[1][0] = 2;  // s: d(p, s) = 4
+  d[2][0] = 1;  // c: d(p, c) = 5 = d(s, c)
+  d[2][1] = 2;
+  const std::vector<Neighbor> cand = {{4.0f, 1}, {5.0f, 2}};
+  EXPECT_EQ(RobustPrune(d, 0, cand, 1.0f, 8), std::vector<uint32_t>{1});
+  EXPECT_EQ(MrngSelect(d, 0, cand, 8), (std::vector<uint32_t>{1, 2}));
 }
 
 TEST(NsgTest, FullyReachableAndBounded) {

@@ -2,7 +2,8 @@
 // subprocess over a small generated fixture. The tests pin the rules the
 // backend factory owns (flag conflicts are errors, search and serve-bench
 // serve the same deployment for the same flags, IVF probes the index's saved
-// nprobe by default) and train's single K rule.
+// nprobe by default), train's single K rule, and the size rules between a
+// base and its graph.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -12,6 +13,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -188,6 +190,56 @@ TEST_F(ToolTest, FastScanRowCapIsOneRule) {
            gist + "/g.bin --model " + m480 + " --mode adc");
   EXPECT_EQ(search.status, 0) << search.out << search.err;
   EXPECT_FALSE(Recall(search.out).empty()) << search.out;
+}
+
+// A graph's vertex v is base row v, so a --graph built over another base is
+// a flag error wherever one is loaded. Unchecked, float ADC would score codes
+// past the end of the smaller base's, and the FastScan layout, the disk index
+// and RPQ training would abort.
+TEST_F(ToolTest, GraphFromAnotherBaseIsAFlagError) {
+  const std::string small = Path("small");
+  std::filesystem::create_directory(small);
+  const std::string base = " --base " + small + "/base.fvecs";
+  const std::string pq8 = small + "/pq8.rpqq";
+  for (const std::string& args :
+       {"gen --n 1500 --queries 5 --out " + small,
+        "train" + base + " --method pq --m 16 --out " + pq8}) {
+    ASSERT_EQ(Tool(args).status, 0) << args;
+  }
+  const std::string search = "search" + base + " --queries " + small +
+                             "/queries.fvecs --graph " + Path("g.bin");
+  for (const std::string& args :
+       {search + " --model " + pq8 + " --mode adc",
+        search + " --model " + Path("model.rpqq"),
+        search + " --model " + Path("model.rpqq") + " --index disk",
+        "train" + base + " --graph " + Path("g.bin") +
+            " --method rpq --m 16 --out " + small + "/rpq.rpqq"}) {
+    const ToolRun r = Tool(args);
+    EXPECT_EQ(r.status, 1) << args << "\n" << r.out << r.err;
+    EXPECT_NE(r.err.find("--graph has 2000 vertices but --base has 1500 rows"),
+              std::string::npos)
+        << args << "\n" << r.err;
+  }
+}
+
+// Vamana and NSG fill each vertex's list from more rows than --degree and
+// than NSG's kNN list length (48); a smaller base is a flag error naming the
+// bound, not an abort. HNSW has no such bound.
+TEST_F(ToolTest, BuildGraphRejectsABaseNoLargerThanItsBound) {
+  const std::string tiny = Path("tiny");
+  std::filesystem::create_directory(tiny);
+  ASSERT_EQ(Tool("gen --n 20 --queries 5 --out " + tiny).status, 0);
+  const std::string build =
+      "build-graph --base " + tiny + "/base.fvecs --out " + tiny + "/g.bin";
+  for (const auto& [type, bound] :
+       {std::pair<std::string, std::string>{"vamana", "--degree (32)"},
+        {"nsg", "kNN list length (48)"}}) {
+    const ToolRun r = Tool(build + " --type " + type);
+    EXPECT_EQ(r.status, 1) << type << "\n" << r.out << r.err;
+    EXPECT_NE(r.err.find(bound), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("--base has 20"), std::string::npos) << r.err;
+  }
+  EXPECT_EQ(Tool(build + " --type hnsw").status, 0);
 }
 
 }  // namespace

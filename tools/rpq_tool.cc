@@ -232,6 +232,28 @@ rpq::Result<Dataset> LoadBase(const Flags& flags) {
   return rpq::io::ReadFvecs(path);
 }
 
+// Loads a --graph built over `base`: vertex v is row v, so a graph of
+// another size would index codes past the end of the base's.
+rpq::Result<rpq::graph::ProximityGraph> LoadGraphFor(const char* path,
+                                                     const Dataset& base) {
+  auto g = rpq::graph::ProximityGraph::Load(path);
+  if (g.ok() && g.value().num_vertices() != base.size()) {
+    return rpq::Status::InvalidArgument(
+        "--graph has " + std::to_string(g.value().num_vertices()) +
+        " vertices but --base has " + std::to_string(base.size()) +
+        " rows; build the graph over this base");
+  }
+  return g;
+}
+
+// BuildVamana and BuildNsg fill each out-list from more rows than `bound`
+// and abort below that; here it is a flag error naming the bound.
+std::string TooFewRows(const std::string& type, size_t rows,
+                       const std::string& bound, size_t value) {
+  return "--type " + type + " needs more base rows than " + bound + " (" +
+         std::to_string(value) + "); --base has " + std::to_string(rows);
+}
+
 int CmdGen(const Flags& flags) {
   std::string name = flags.Get("name", "sift");
   size_t n = flags.GetSize("n", 10000);
@@ -266,11 +288,15 @@ int CmdBuildGraph(const Flags& flags) {
   const char* out = flags.Get("out");
   if (out == nullptr) return Fail("--out is required");
 
+  const size_t rows = base.value().size();
   rpq::graph::ProximityGraph g;
   if (type == "vamana") {
     rpq::graph::VamanaOptions opt;
     opt.degree = flags.GetSize("degree", 32);
     opt.build_beam = flags.GetSize("build-beam", 64);
+    if (rows <= opt.degree) {
+      return Fail(TooFewRows(type, rows, "--degree", opt.degree));
+    }
     g = rpq::graph::BuildVamana(base.value(), opt);
   } else if (type == "hnsw") {
     rpq::graph::HnswOptions opt;
@@ -280,6 +306,9 @@ int CmdBuildGraph(const Flags& flags) {
   } else if (type == "nsg") {
     rpq::graph::NsgOptions opt;
     opt.degree = flags.GetSize("degree", 32);
+    if (rows <= opt.knn_k) {
+      return Fail(TooFewRows(type, rows, "its kNN list length", opt.knn_k));
+    }
     g = rpq::graph::BuildNsg(base.value(), opt);
   } else {
     return Fail("unknown graph type: " + type + " (vamana|hnsw|nsg)");
@@ -345,7 +374,7 @@ int CmdTrain(const Flags& flags) {
   } else if (method == "rpq") {
     const char* gpath = flags.Get("graph");
     if (gpath == nullptr) return Fail("--graph is required for rpq training");
-    auto g = rpq::graph::ProximityGraph::Load(gpath);
+    auto g = LoadGraphFor(gpath, base.value());
     if (!g.ok()) return Fail(g.status().ToString());
     rpq::core::RpqTrainOptions opt;
     opt.m = flags.GetSize("m", 16);
@@ -654,7 +683,7 @@ rpq::Status MakeBackend(const Flags& flags, const Dataset& base, Backend* b) {
   if (gpath == nullptr) {
     return rpq::Status::InvalidArgument("--graph is required");
   }
-  auto g = rpq::graph::ProximityGraph::Load(gpath);
+  auto g = LoadGraphFor(gpath, base);
   if (!g.ok()) return g.status();
   b->graph = std::move(g.value());
   if (kind == "disk") {
