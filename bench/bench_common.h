@@ -29,6 +29,7 @@
 #include "quant/linkcode.h"
 #include "quant/opq.h"
 #include "quant/pq.h"
+#include "serve/search_service.h"
 
 namespace rpq::bench {
 
@@ -171,45 +172,8 @@ inline QuantizerSet TrainAll(const DatasetBundle& b,
   return qs;
 }
 
-/// SearchFn adapter for the hybrid (simulated-SSD DiskANN) scenario.
-inline eval::SearchFn MakeDiskSearchFn(const disk::DiskIndex& index) {
-  return [&index](const float* q, size_t k, size_t beam) {
-    auto res = index.Search(q, k, {beam, k});
-    eval::SearchOutcome out;
-    out.results = std::move(res.results);
-    out.hops = res.stats.hops;
-    out.simulated_io_seconds = res.io.simulated_seconds;
-    return out;
-  };
-}
-
-/// SearchFn adapter for the in-memory (codes-only) scenario.
-inline eval::SearchFn MakeMemorySearchFn(const core::MemoryIndex& index) {
-  return [&index](const float* q, size_t k, size_t beam) {
-    auto res = index.Search(q, k, {beam, k});
-    eval::SearchOutcome out;
-    out.results = std::move(res.results);
-    out.hops = res.stats.hops;
-    return out;
-  };
-}
-
-/// L&C: ADC navigation, then refined-code rerank of the top 4k candidates.
-inline eval::SearchFn MakeLinkCodeSearchFn(const core::MemoryIndex& index,
-                                           const quant::LinkCodeIndex& lc) {
-  return [&index, &lc](const float* q, size_t k, size_t beam) {
-    auto res = index.Search(q, std::max(beam, 4 * k), {beam, 4 * k});
-    TopK reranked(k);
-    for (const auto& cand : res.results) {
-      reranked.Push(lc.RefinedDistance(q, cand.id), cand.id);
-    }
-    eval::SearchOutcome out;
-    out.results = reranked.Take();
-    out.hops = res.stats.hops;
-    return out;
-  };
-}
-
+/// The swept beam widths, ascending. Harnesses sweep a
+/// serve::MemoryIndexService or serve::DiskIndexService over them.
 inline const std::vector<size_t>& DefaultBeams() {
   static const std::vector<size_t> kBeams{10, 16, 24, 32, 48, 64, 96, 128, 192};
   return kBeams;

@@ -1,7 +1,8 @@
 // Figure 11: scalability of DiskANN-PQ vs DiskANN-RPQ across base-set scales
-// (hybrid scenario, QPS at Recall@10=95%). The paper's 1M/10M/100M/1B slices
-// become geometric scales of the synthetic generator; what must hold is that
-// RPQ's advantage persists (or grows) as the scale rises.
+// (hybrid scenario, wall QPS and simulated disk time per query at
+// Recall@10=95%). The paper's 1M/10M/100M/1B slices become geometric scales
+// of the synthetic generator; what must hold is that RPQ's advantage
+// persists (or grows) as the scale rises.
 #include "bench_common.h"
 
 int main(int argc, char** argv) {
@@ -11,11 +12,11 @@ int main(int argc, char** argv) {
                                    ? std::vector<size_t>{1000, 3000}
                                    : std::vector<size_t>{2000, 6000, 12000};
 
-  std::printf("=== Figure 11: scalability, hybrid (QPS @ Recall@10=95%%) "
-              "===\n");
+  std::printf("=== Figure 11: scalability, hybrid (@ Recall@10=95%%) ===\n");
   for (const char* name : {"bigann", "deep"}) {
-    std::printf("[%s]\n%-10s %14s %14s %10s\n", name, "scale", "DiskANN-PQ",
-                "DiskANN-RPQ", "speedup");
+    std::printf("[%s]\n%-10s %25s %25s %10s\n", name, "scale",
+                "DiskANN-PQ wall QPS/io ms", "DiskANN-RPQ wall QPS/io ms",
+                "speedup");
     for (size_t n : scales) {
       Args a = args;
       a.n = n;
@@ -30,13 +31,18 @@ int main(int argc, char** argv) {
 
       auto eval_one = [&](const rpq::quant::VectorQuantizer& q) {
         auto index = rpq::disk::DiskIndex::Build(b.base, graph, q);
-        auto curve = rpq::eval::SweepBeamWidths(MakeDiskSearchFn(*index), b.queries,
-                                           b.gt, 10, DefaultBeams());
-        return rpq::eval::QpsAtRecall(curve, 0.95);
+        return rpq::eval::SweepBeamWidths(
+            rpq::serve::DiskIndexService(*index), rpq::serve::QuerySpec{},
+            b.queries, b.gt, DefaultBeams());
       };
-      double q_pq = eval_one(*pq);
-      double q_rpq = eval_one(*rpq_res.quantizer);
-      std::printf("%-10zu %14.1f %14.1f %9.2fx\n", n, q_pq, q_rpq,
+      using P = rpq::eval::OperatingPoint;
+      auto c_pq = eval_one(*pq);
+      auto c_rpq = eval_one(*rpq_res.quantizer);
+      double q_pq = rpq::eval::AtRecall(c_pq, 0.95, &P::wall_qps);
+      double q_rpq = rpq::eval::AtRecall(c_rpq, 0.95, &P::wall_qps);
+      std::printf("%-10zu %16.1f / %6.3f %16.1f / %6.3f %9.2fx\n", n, q_pq,
+                  rpq::eval::AtRecall(c_pq, 0.95, &P::mean_io_ms), q_rpq,
+                  rpq::eval::AtRecall(c_rpq, 0.95, &P::mean_io_ms),
                   q_pq > 0 ? q_rpq / q_pq : 0.0);
     }
   }

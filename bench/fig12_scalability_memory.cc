@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
                                    ? std::vector<size_t>{1000, 3000}
                                    : std::vector<size_t>{2000, 6000, 12000};
 
-  std::printf("=== Figure 12: scalability, in-memory (QPS with achieved "
+  std::printf("=== Figure 12: scalability, in-memory (wall QPS with achieved "
               "Recall@10) ===\n");
   for (const char* name : {"bigann", "deep"}) {
     std::printf("[%s]\n%-10s %22s %22s\n", name, "scale", "HNSW-PQ",
@@ -31,14 +31,15 @@ int main(int argc, char** argv) {
       const size_t beam = 48;  // fixed operating point across scales
       auto eval_one = [&](const rpq::quant::VectorQuantizer& q) {
         auto index = rpq::core::MemoryIndex::Build(b.base, graph, q);
-        auto curve = rpq::eval::SweepBeamWidths(MakeMemorySearchFn(*index),
-                                           b.queries, b.gt, 10, {beam});
+        auto curve = rpq::eval::SweepBeamWidths(
+            rpq::serve::MemoryIndexService(*index), rpq::serve::QuerySpec{},
+            b.queries, b.gt, {beam});
         return curve[0];
       };
       auto pt_pq = eval_one(*pq);
       auto pt_rpq = eval_one(*rpq_res.quantizer);
       std::printf("%-10zu %12.1f (r=%4.0f%%) %12.1f (r=%4.0f%%)\n", n,
-                  pt_pq.qps, pt_pq.recall * 100, pt_rpq.qps,
+                  pt_pq.wall_qps, pt_pq.recall * 100, pt_rpq.wall_qps,
                   pt_rpq.recall * 100);
     }
   }

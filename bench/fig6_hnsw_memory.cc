@@ -24,12 +24,20 @@ void RunDataset(const std::string& name, const Args& args) {
   std::printf("\n=== Figure 6 [HNSW, %s]  (n=%zu, q=%zu) ===\n", name.c_str(),
               b.base.size(), b.queries.size());
 
+  // L&C navigates on ADC like the others, then re-scores every beam
+  // survivor with the Link&Code reconstructions: a rerank width past the
+  // widest swept beam is capped at each beam.
   auto run = [&](const std::string& label, const quant::VectorQuantizer& q,
-                 const quant::LinkCodeIndex* refine) {
+                 const quant::LinkCodeIndex* linkcode) {
     auto index = core::MemoryIndex::Build(b.base, graph, q);
-    auto fn = refine != nullptr ? MakeLinkCodeSearchFn(*index, *refine)
-                                : MakeMemorySearchFn(*index);
-    auto curve = rpq::eval::SweepBeamWidths(fn, b.queries, b.gt, 10, DefaultBeams());
+    serve::QuerySpec spec;
+    if (linkcode != nullptr) {
+      index->set_linkcode(linkcode);
+      spec.rerank = DefaultBeams().back();
+      spec.rerank_mode = refine::RerankMode::kLinkCode;
+    }
+    auto curve = eval::SweepBeamWidths(serve::MemoryIndexService(*index), spec,
+                                       b.queries, b.gt, DefaultBeams());
     eval::PrintCurve(label, curve);
     return curve;
   };

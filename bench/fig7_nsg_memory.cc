@@ -27,8 +27,9 @@ void RunDataset(const std::string& name, const Args& args) {
   };
   for (const auto& m : methods) {
     auto index = core::MemoryIndex::Build(b.base, graph, *m.quantizer);
-    auto curve = rpq::eval::SweepBeamWidths(MakeMemorySearchFn(*index), b.queries,
-                                       b.gt, 10, DefaultBeams());
+    auto curve = eval::SweepBeamWidths(serve::MemoryIndexService(*index),
+                                       serve::QuerySpec{}, b.queries, b.gt,
+                                       DefaultBeams());
     eval::PrintCurve(m.label, curve);
   }
 }

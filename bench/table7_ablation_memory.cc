@@ -35,14 +35,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[%s] variant %zu...\n", datasets[d].name.c_str(), v);
       auto res = rpq::core::TrainRpq(b.base, graph, *variants[v]);
       auto index = rpq::core::MemoryIndex::Build(b.base, graph, *res.quantizer);
-      auto curve = rpq::eval::SweepBeamWidths(MakeMemorySearchFn(*index), b.queries,
-                                         b.gt, 10, DefaultBeams());
-      table[v][d] = rpq::eval::QpsAtRecall(curve, datasets[d].target);
+      auto curve = rpq::eval::SweepBeamWidths(
+          rpq::serve::MemoryIndexService(*index), rpq::serve::QuerySpec{},
+          b.queries, b.gt, DefaultBeams());
+      table[v][d] = rpq::eval::AtRecall(curve, datasets[d].target,
+                                        &rpq::eval::OperatingPoint::wall_qps);
     }
   }
 
-  std::printf("=== Table 7: ablation, in-memory scenario (QPS @ per-dataset "
-              "Recall@10 target) ===\n%-12s", "Method");
+  std::printf("=== Table 7: ablation, in-memory scenario (wall QPS @ "
+              "per-dataset Recall@10 target) ===\n%-12s", "Method");
   for (const auto& ds : datasets) {
     std::printf(" %7s@%2.0f%%", ds.name.c_str(), ds.target * 100);
   }

@@ -54,67 +54,64 @@ quant::DistanceLut MemoryIndex::TableFor(const float* query,
   return quant::SdcTable(*pq, query);
 }
 
-MemorySearchResult MemoryIndex::SearchFastScan(
-    const float* query, const quant::DistanceLut& table, size_t k,
-    const graph::BeamSearchOptions& opt, const refine::RerankSpec& rerank,
-    graph::VisitedTable* visited, obs::QueryTrace* trace) const {
+std::vector<Neighbor> MemoryIndex::Navigate(
+    const quant::DistanceLut& table, DistanceMode mode,
+    const graph::BeamSearchOptions& opt, graph::VisitedTable* visited,
+    graph::SearchStats* stats, obs::QueryTrace* trace) const {
+  const size_t code_size = quantizer_.code_size();
+  if (mode != DistanceMode::kFastScan) {
+    quant::AdcBatchOracle oracle{table, codes_.data(), code_size};
+    obs::ScopedStage span(obs::Stage::kBeam, trace);
+    return graph::BeamSearch(graph_, graph_.entry_point(), oracle, opt,
+                             visited, stats);
+  }
   RPQ_CHECK(fastscan_.has_value() &&
             "FastScan needs a quantizer with K <= 16 (see PqOptions.nbits)");
-  MemorySearchResult out;
-  const size_t code_size = quantizer_.code_size();
-
-  // Navigate on the u8-quantized table; the refinement stage (float ADC by
-  // default — the float table is what the u8 one was quantized from — or
-  // exact / Link&Code when the index carries that state) re-scores the
-  // widened candidate list to undo the u8 rounding error.
+  // Navigate on the u8-quantized table; the refinement epilogue undoes its
+  // rounding error.
   quant::FastScanTable ftable(table);
   quant::FastScanNeighborOracle oracle(ftable, codes_.data(), code_size,
                                        *fastscan_);
-  // The rerank list is drawn from the beam, so it is capped at the effective
-  // beam width — widening it never widens the traversal (the A/B against
-  // the float-ADC path stays beam-for-beam fair).
-  const size_t beam_width = std::max(opt.beam_width, k);
-  const size_t width =
-      std::min(beam_width, refine::EffectiveRerankWidth(rerank.width, k));
-  std::vector<Neighbor> cands;
-  {
-    obs::ScopedStage span(obs::Stage::kBeam, trace);
-    cands = graph::BeamSearch(graph_, graph_.entry_point(), oracle,
-                              {beam_width, width, opt.deadline}, visited,
-                              &out.stats);
-  }
+  obs::ScopedStage span(obs::Stage::kBeam, trace);
+  return graph::BeamSearch(graph_, graph_.entry_point(), oracle, opt, visited,
+                           stats);
+}
 
-  // Shared refinement epilogue: the beam's survivors become a
-  // CandidateBuffer (bulk-fed — the beam was invoked with result count =
-  // width, so nothing can evict), one Refiner stage re-scores them, top-k
-  // comes back sorted by (refined distance, id).
-  refine::CandidateBuffer buffer(width);
+std::vector<Neighbor> MemoryIndex::Refine(
+    const float* query, const quant::DistanceLut& table, DistanceMode mode,
+    const std::vector<Neighbor>& cands, size_t k, refine::RerankMode rerank,
+    graph::SearchStats* stats, obs::QueryTrace* trace) const {
+  // The beam's survivors become a CandidateBuffer (bulk-fed: the beam was
+  // invoked with result count = the rerank width, so nothing can evict), one
+  // Refiner stage re-scores them, and top-k comes back sorted by (refined
+  // distance, id).
+  refine::CandidateBuffer buffer(cands.size());
   buffer.PushBounded(cands.data(), cands.size());
-  out.stats.dist_comps += buffer.size();
-  switch (refine::ResolveAutoMode(rerank.mode, stores_vectors())) {
+  stats->dist_comps += buffer.size();
+  switch (refine::ResolveAutoMode(rerank, stores_vectors())) {
     case refine::RerankMode::kExact: {
       RPQ_CHECK(stores_vectors() &&
                 "RerankMode::kExact needs MemoryIndexOptions.store_vectors");
       refine::ExactRefiner refiner(query, dim_, vectors_.data());
-      out.results = refine::RefineTopK(buffer, refiner, k, trace);
-      break;
+      return refine::RefineTopK(buffer, refiner, k, trace);
     }
     case refine::RerankMode::kLinkCode: {
       RPQ_CHECK(linkcode_ != nullptr &&
                 "RerankMode::kLinkCode needs set_linkcode()");
       refine::LinkCodeRefiner refiner(query, *linkcode_);
-      out.results = refine::RefineTopK(buffer, refiner, k, trace);
-      break;
+      return refine::RefineTopK(buffer, refiner, k, trace);
     }
     default: {
-      // Float-ADC: batched through the gather kernel (one call for all
-      // candidates).
-      refine::AdcRefiner refiner(table, codes_.data(), code_size);
-      out.results = refine::RefineTopK(buffer, refiner, k, trace);
-      break;
+      // Float ADC, batched through the gather kernel. kAdc and kFastScan
+      // navigated on the query's ADC table; kSdc re-scores with one built
+      // here, since its own table quantizes the query too.
+      std::optional<quant::AdcTable> adc;
+      if (mode == DistanceMode::kSdc) adc.emplace(quantizer_, query);
+      const quant::DistanceLut& lut = adc.has_value() ? *adc : table;
+      refine::AdcRefiner refiner(lut, codes_.data(), quantizer_.code_size());
+      return refine::RefineTopK(buffer, refiner, k, trace);
     }
   }
-  return out;
 }
 
 MemorySearchResult MemoryIndex::Search(const float* query, size_t k,
@@ -132,11 +129,22 @@ std::vector<MemorySearchResult> MemoryIndex::SearchBatch(
   std::vector<MemorySearchResult> out(nq);
   if (nq == 0) return out;
   graph::VisitedTable* visited = graph::TlsVisitedTable(graph_.num_vertices());
-  const size_t code_size = quantizer_.code_size();
+  // FastScan always refines (its u8 estimate needs it); kAdc and kSdc only
+  // when the query names a stage, so their default answers are the beam's.
+  // The rerank list is drawn from the beam, so it is capped at the effective
+  // beam width: widening it never widens the traversal.
+  const bool refines = mode == DistanceMode::kFastScan ||
+                       rerank.mode != refine::RerankMode::kAuto;
+  graph::BeamSearchOptions beam{opt.beam_width, k, opt.deadline};
+  if (refines) {
+    beam.beam_width = std::max(opt.beam_width, k);
+    beam.k = std::min(beam.beam_width,
+                      refine::EffectiveRerankWidth(rerank.width, k));
+  }
   // Tiled: table memory stays bounded and the tile's tables stay
-  // cache-resident no matter how large the submitted batch is. The FastScan
-  // branch derives its u8 tables inside SearchFastScan from the same float
-  // tables, so every mode shares the amortized build.
+  // cache-resident no matter how large the submitted batch is. FastScan
+  // derives its u8 tables from the same float tables, so every mode shares
+  // the amortized build.
   constexpr size_t kTile = 16;
   std::vector<quant::DistanceLut> tables;
   tables.reserve(std::min(nq, kTile));
@@ -151,15 +159,11 @@ std::vector<MemorySearchResult> MemoryIndex::SearchBatch(
     }
     for (size_t i = 0; i < tile; ++i) {
       MemorySearchResult& res = out[base + i];
-      if (mode == DistanceMode::kFastScan) {
-        res = SearchFastScan(queries[base + i], tables[i], k, opt, rerank,
-                             visited, trace);
-      } else {
-        quant::AdcBatchOracle oracle{tables[i], codes_.data(), code_size};
-        obs::ScopedStage span(obs::Stage::kBeam, trace);
-        res.results = graph::BeamSearch(graph_, graph_.entry_point(), oracle,
-                                        {opt.beam_width, k, opt.deadline},
-                                        visited, &res.stats);
+      res.results =
+          Navigate(tables[i], mode, beam, visited, &res.stats, trace);
+      if (refines) {
+        res.results = Refine(queries[base + i], tables[i], mode, res.results,
+                             k, rerank.mode, &res.stats, trace);
       }
       RecordSearchMetrics(res.stats);
     }

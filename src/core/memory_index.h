@@ -2,7 +2,8 @@
 // memory holds the PG plus compact codes + codebook only — original vectors
 // are NOT consulted at query time; ranking and results both use ADC. (A
 // deployment that opts into MemoryIndexOptions.store_vectors trades that
-// memory floor for an exact refinement stage, like the IVF backend does.)
+// memory floor for an exact refinement stage, like the IVF backend does; one
+// that attaches a Link&Code model gets a refinement stage from the codes.)
 #pragma once
 
 #include <cstdint>
@@ -30,9 +31,9 @@ struct MemorySearchResult {
 
 /// Distance estimation mode (§3.1): ADC (default, lower error), SDC (both
 /// sides quantized; requires a PQ-family quantizer), or FastScan (4-bit
-/// codes scored through register-resident u8 LUT shuffles, with a
-/// refine::Refiner rerank of the top candidates; requires a quantizer with
-/// K <= 16 and m <= 256).
+/// codes scored through register-resident u8 LUT shuffles, always followed
+/// by a refine::Refiner rerank of the top candidates; requires a quantizer
+/// with K <= 16 and m <= 256).
 enum class DistanceMode { kAdc, kSdc, kFastScan };
 
 /// Build-time knobs.
@@ -62,12 +63,14 @@ class MemoryIndex {
       const quant::VectorQuantizer& quantizer,
       const MemoryIndexOptions& options = {});
 
-  /// SearchBatch of one query. `rerank` is the query's refinement request
-  /// (width 0 = refine::EffectiveRerankWidth's auto rule, kAuto = exact when
-  /// raw rows are stored, float-ADC otherwise); it only applies to
-  /// DistanceMode::kFastScan, the mode with a rerank epilogue. `trace`, when
-  /// non-null, receives per-stage spans (lut_build / beam / refine / merge)
-  /// for this query.
+  /// SearchBatch of one query. `rerank` is the query's refinement request:
+  /// width 0 = refine::EffectiveRerankWidth's auto rule, capped at the
+  /// effective beam width max(beam_width, k); kAuto = exact when raw rows
+  /// are stored, float-ADC otherwise. Every mode shares one refinement
+  /// epilogue. kFastScan always runs it; kAdc and kSdc run it only when
+  /// `rerank.mode` names a stage, so with kAuto they return the beam's own
+  /// top-k. `trace`, when non-null, receives per-stage spans (lut_build /
+  /// beam / refine / merge) for this query.
   MemorySearchResult Search(const float* query, size_t k,
                             const graph::BeamSearchOptions& options,
                             DistanceMode mode = DistanceMode::kAdc,
@@ -116,12 +119,24 @@ class MemoryIndex {
   /// quantizes it to u8 and reranks with it). Both are plain DistanceLuts.
   quant::DistanceLut TableFor(const float* query, DistanceMode mode) const;
 
-  MemorySearchResult SearchFastScan(const float* query,
-                                    const quant::DistanceLut& table, size_t k,
-                                    const graph::BeamSearchOptions& options,
-                                    const refine::RerankSpec& rerank,
-                                    graph::VisitedTable* visited,
-                                    obs::QueryTrace* trace) const;
+  /// One beam search on the query's table: the float table itself for kAdc
+  /// and kSdc, its u8 FastScan quantization for kFastScan.
+  std::vector<Neighbor> Navigate(const quant::DistanceLut& table,
+                                 DistanceMode mode,
+                                 const graph::BeamSearchOptions& options,
+                                 graph::VisitedTable* visited,
+                                 graph::SearchStats* stats,
+                                 obs::QueryTrace* trace) const;
+
+  /// The refinement epilogue: re-scores every beam survivor with the
+  /// `rerank` stage and returns the top-k by (refined distance, id).
+  std::vector<Neighbor> Refine(const float* query,
+                               const quant::DistanceLut& table,
+                               DistanceMode mode,
+                               const std::vector<Neighbor>& cands, size_t k,
+                               refine::RerankMode rerank,
+                               graph::SearchStats* stats,
+                               obs::QueryTrace* trace) const;
 
   const graph::ProximityGraph& graph_;
   const quant::VectorQuantizer& quantizer_;

@@ -20,12 +20,18 @@ Result<Dataset> ReadFvecs(const std::string& path, size_t max_records) {
     if (dim <= 0 || dim > (1 << 20)) {
       return Status::IOError(path + ": bad record dimension " + std::to_string(dim));
     }
+    if (count > 0 && static_cast<size_t>(dim) != out.dim()) {
+      return Status::IOError(path + ": record " + std::to_string(count) +
+                             " has dimension " + std::to_string(dim) +
+                             ", the first has " + std::to_string(out.dim()));
+    }
     buf.resize(static_cast<size_t>(dim));
     if (std::fread(buf.data(), sizeof(float), buf.size(), f.get()) != buf.size()) {
       return Status::IOError(path + ": truncated record");
     }
     out.Append(buf.data(), buf.size());
-    if (max_records != 0 && ++count >= max_records) break;
+    ++count;
+    if (max_records != 0 && count >= max_records) break;
   }
   return out;
 }

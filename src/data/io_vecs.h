@@ -13,7 +13,8 @@
 namespace rpq::io {
 
 /// Reads an .fvecs file: each record is int32 dim followed by dim floats.
-/// max_records == 0 reads everything.
+/// max_records == 0 reads everything. A record whose dim differs from the
+/// first record's is an IOError.
 Result<Dataset> ReadFvecs(const std::string& path, size_t max_records = 0);
 
 /// Writes a dataset as .fvecs.

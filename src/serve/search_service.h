@@ -30,9 +30,11 @@ struct QuerySpec {
   size_t k = 10;
   size_t beam_width = 64;  ///< beam for graph backends, nprobe for IVF
   /// Refinement request (width + stage), forwarded to backends with a
-  /// rerank epilogue (FastScan memory, IVF); width 0 defers to the auto
-  /// rule (or IvfService's default width), kAuto to exact when the backend
-  /// stores raw rows, float-ADC otherwise. Other backends ignore it.
+  /// rerank epilogue (memory, IVF); width 0 defers to the auto rule (or
+  /// IvfService's default width), kAuto to exact when the backend stores
+  /// raw rows, float-ADC otherwise. Memory runs the epilogue in every
+  /// distance mode: always for FastScan, and for ADC and SDC only when
+  /// rerank_mode names a stage. Other backends ignore it.
   size_t rerank = 0;
   refine::RerankMode rerank_mode = refine::RerankMode::kAuto;
   /// When set, receives per-stage spans for this query (obs/trace.h). The
@@ -99,7 +101,7 @@ class SearchService {
   }
 };
 
-/// In-memory ADC/SDC backend (core::MemoryIndex is borrowed).
+/// In-memory ADC/SDC/FastScan backend (core::MemoryIndex is borrowed).
 class MemoryIndexService : public SearchService {
  public:
   explicit MemoryIndexService(const core::MemoryIndex& index,
@@ -155,8 +157,8 @@ class ExactService : public SearchService {
   const Dataset& data_;
 };
 
-/// Adapts an arbitrary thread-safe callable — e.g. the eval harness's
-/// SearchFn closures — so it can be replayed through the serving engine.
+/// Serves queries with an arbitrary thread-safe callable: the test double
+/// that records or delays what the engine, loadgen and sweep send it.
 class FunctionService : public SearchService {
  public:
   using Fn = std::function<QueryResult(const QuerySpec&)>;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/distance.h"
+#include "common/topk.h"
 #include "core/memory_index.h"
 #include "data/ground_truth.h"
 #include "data/synthetic.h"
@@ -139,11 +140,12 @@ TEST(LinkCodeTest, RefinementReducesReconstructionError) {
 }
 
 // LinkCode as a live refinement stage: on the clustered synthetic fixture,
-// reranking FastScan candidates with the neighbor-regression reconstructions
-// lands between the float-ADC stage (same codes, no correction) and the
-// exact stage (raw rows) — the fidelity/memory slot Link&Code exists to
-// fill. The bounds get a small slack because the three stages re-rank the
-// same candidates with differently-biased estimators.
+// reranking the beam's candidates with the neighbor-regression
+// reconstructions lands between the float-ADC stage (same codes, no
+// correction) and the exact stage (raw rows) — the fidelity/memory slot
+// Link&Code exists to fill — whether the beam navigated on FastScan's u8
+// tables or on float ADC. The bounds get a small slack because the three
+// stages re-rank the same candidates with differently-biased estimators.
 TEST(LinkCodeTest, RefinedRerankRecallBetweenAdcAndExact) {
   Dataset base = SmallData(2000, 7);
   Dataset queries = SmallData(64, 99);
@@ -169,26 +171,71 @@ TEST(LinkCodeTest, RefinedRerankRecallBetweenAdcAndExact) {
   auto index = core::MemoryIndex::Build(base, g, *pq, mopt);
   index->set_linkcode(lc.get());
 
-  auto recall = [&](refine::RerankMode mode) {
-    std::vector<std::vector<Neighbor>> results(queries.size());
+  for (core::DistanceMode nav :
+       {core::DistanceMode::kFastScan, core::DistanceMode::kAdc}) {
+    auto recall = [&](refine::RerankMode mode) {
+      std::vector<std::vector<Neighbor>> results(queries.size());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        results[q] =
+            index->Search(queries[q], 10, {64, 10, {}}, nav, {0, mode})
+                .results;
+      }
+      return eval::MeanRecallAtK(results, gt, 10);
+    };
+    const char* name = nav == core::DistanceMode::kAdc ? "adc" : "fastscan";
+    double adc = recall(refine::RerankMode::kAdc);
+    double linkcode = recall(refine::RerankMode::kLinkCode);
+    double exact = recall(refine::RerankMode::kExact);
+    EXPECT_GE(linkcode, adc - 0.01)
+        << name << ": linkcode rerank must not lose to ADC: adc=" << adc
+        << " linkcode=" << linkcode;
+    EXPECT_GE(exact, linkcode - 0.01)
+        << name << ": exact rerank must not lose to linkcode: linkcode="
+        << linkcode << " exact=" << exact;
+    EXPECT_GT(exact, adc)
+        << name << ": fixture must separate the stages to be meaningful";
+  }
+}
+
+// Link&Code over float-ADC navigation is the memory index's refinement
+// epilogue with the Link&Code stage. With a rerank width past the beam,
+// every beam survivor is re-scored: at beams >= 4k the answer equals a TopK
+// over RefinedDistance of a kAuto search that returns the whole beam, bit
+// for bit. The rerank never widens the traversal: at every beam, hops equal
+// a kAuto search's at that beam.
+TEST(LinkCodeTest, AdcLinkCodeRerankIsTopKOfRefinedBeam) {
+  Dataset base = SmallData(1500, 5);
+  Dataset queries = SmallData(24, 77);
+  graph::VamanaOptions vopt;
+  vopt.degree = 16;
+  vopt.build_beam = 32;
+  auto g = graph::BuildVamana(base, vopt);
+
+  LinkCodeOptions lopt;
+  lopt.pq.m = 8;
+  lopt.pq.k = 64;
+  lopt.num_links = 8;
+  auto lc = LinkCodeIndex::Build(base, g, lopt);
+  auto index = core::MemoryIndex::Build(base, g, lc->pq());
+  index->set_linkcode(lc.get());
+
+  const size_t k = 10;
+  const refine::RerankSpec linkcode{192, refine::RerankMode::kLinkCode};
+  for (size_t beam : {10, 16, 32, 40, 64, 128}) {
     for (size_t q = 0; q < queries.size(); ++q) {
-      results[q] = index
-                       ->Search(queries[q], 10, {64, 10},
-                                core::DistanceMode::kFastScan, {0, mode})
-                       .results;
+      auto got = index->Search(queries[q], k, {beam, k, {}},
+                               core::DistanceMode::kAdc, linkcode);
+      auto plain = index->Search(queries[q], k, {beam, k, {}});
+      EXPECT_EQ(got.stats.hops, plain.stats.hops) << "beam " << beam;
+      if (beam < 4 * k) continue;
+      auto whole = index->Search(queries[q], beam, {beam, beam, {}});
+      TopK want(k);
+      for (const Neighbor& c : whole.results) {
+        want.Push(lc->RefinedDistance(queries[q], c.id), c.id);
+      }
+      EXPECT_EQ(got.results, want.Take()) << "beam " << beam << " q " << q;
     }
-    return eval::MeanRecallAtK(results, gt, 10);
-  };
-  double adc = recall(refine::RerankMode::kAdc);
-  double linkcode = recall(refine::RerankMode::kLinkCode);
-  double exact = recall(refine::RerankMode::kExact);
-  EXPECT_GE(linkcode, adc - 0.01)
-      << "linkcode rerank must not lose to ADC: adc=" << adc
-      << " linkcode=" << linkcode;
-  EXPECT_GE(exact, linkcode - 0.01)
-      << "exact rerank must not lose to linkcode: linkcode=" << linkcode
-      << " exact=" << exact;
-  EXPECT_GT(exact, adc) << "fixture must separate the stages to be meaningful";
+  }
 }
 
 TEST(LinkCodeTest, BetaIsFiniteAndBounded) {

@@ -67,6 +67,28 @@ TEST(IoVecsTest, MissingFileIsIoError) {
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
 
+// A dim-4 record followed by a dim-8 record: the reader rejects the second
+// record instead of handing Dataset::Append a row of the wrong width.
+TEST(IoVecsTest, FvecsDimensionChangeIsIoError) {
+  std::string path = ::testing::TempDir() + "/mixed.fvecs";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const float row[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  for (const int32_t dim : {4, 8}) {
+    ASSERT_EQ(std::fwrite(&dim, sizeof(dim), 1, f), 1u);
+    ASSERT_EQ(std::fwrite(row, sizeof(float), dim, f),
+              static_cast<size_t>(dim));
+  }
+  std::fclose(f);
+  auto r = io::ReadFvecs(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_NE(r.status().ToString().find("has dimension 8, the first has 4"),
+            std::string::npos)
+      << r.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(IoVecsTest, IvecsRoundTrip) {
   std::vector<std::vector<int32_t>> rows{{1, 2, 3}, {4, 5}};
   std::string path = ::testing::TempDir() + "/roundtrip.ivecs";

@@ -114,35 +114,45 @@ TEST_F(PipelineTest, SdcMatchesSymmetricDistanceSemantics) {
   }
 }
 
-// kSdc is the float-table search run on an SDC table: Search and SearchBatch
-// (20 queries, two tiles) must equal graph::BeamSearch over an
-// AdcBatchOracle on quant::SdcTable, answers and work alike.
-TEST_F(PipelineTest, SdcSearchIsBeamSearchOverSdcTable) {
+// kAdc and kSdc are the float-table search run on their table: Search and
+// SearchBatch (20 queries, two tiles) must equal graph::BeamSearch over an
+// AdcBatchOracle on quant::AdcTable or quant::SdcTable, answers and work
+// alike. The index retains raw rows, so a query that names no rerank stage
+// must not reach the refinement epilogue (kAuto would resolve to exact).
+TEST_F(PipelineTest, AdcAndSdcSearchAreBeamSearchOverTheirTable) {
   quant::PqOptions popt;
   popt.m = 8;
   popt.k = 32;
   auto pq = quant::PqQuantizer::Train(base_, popt);
-  auto index = core::MemoryIndex::Build(base_, graph_, *pq);
+  core::MemoryIndexOptions mopt;
+  mopt.store_vectors = true;
+  auto index = core::MemoryIndex::Build(base_, graph_, *pq, mopt);
   graph::BeamSearchOptions opt;
   opt.beam_width = 32;
   opt.k = 10;
   std::vector<const float*> ptrs;
   for (size_t q = 0; q < queries_.size(); ++q) ptrs.push_back(queries_[q]);
-  auto batch = index->SearchBatch(ptrs.data(), ptrs.size(), 10, opt,
-                                  core::DistanceMode::kSdc);
-  ASSERT_EQ(batch.size(), queries_.size());
-  for (size_t q = 0; q < queries_.size(); ++q) {
-    quant::SdcTable table(*pq, queries_[q]);
-    quant::AdcBatchOracle oracle{table, index->codes().data(),
-                                 pq->code_size()};
-    graph::SearchStats stats;
-    auto want = graph::BeamSearch(graph_, graph_.entry_point(), oracle, opt,
-                                  graph::TlsVisitedTable(base_.size()), &stats);
-    auto single = index->Search(queries_[q], 10, opt, core::DistanceMode::kSdc);
-    for (const core::MemorySearchResult* got : {&single, &batch[q]}) {
-      EXPECT_EQ(got->results, want) << "q=" << q;
-      EXPECT_EQ(got->stats.hops, stats.hops) << "q=" << q;
-      EXPECT_EQ(got->stats.dist_comps, stats.dist_comps) << "q=" << q;
+  for (core::DistanceMode mode :
+       {core::DistanceMode::kAdc, core::DistanceMode::kSdc}) {
+    auto batch = index->SearchBatch(ptrs.data(), ptrs.size(), 10, opt, mode);
+    ASSERT_EQ(batch.size(), queries_.size());
+    for (size_t q = 0; q < queries_.size(); ++q) {
+      const quant::DistanceLut table =
+          mode == core::DistanceMode::kSdc
+              ? quant::DistanceLut(quant::SdcTable(*pq, queries_[q]))
+              : quant::DistanceLut(quant::AdcTable(*pq, queries_[q]));
+      quant::AdcBatchOracle oracle{table, index->codes().data(),
+                                   pq->code_size()};
+      graph::SearchStats stats;
+      auto want =
+          graph::BeamSearch(graph_, graph_.entry_point(), oracle, opt,
+                            graph::TlsVisitedTable(base_.size()), &stats);
+      auto single = index->Search(queries_[q], 10, opt, mode);
+      for (const core::MemorySearchResult* got : {&single, &batch[q]}) {
+        EXPECT_EQ(got->results, want) << "q=" << q;
+        EXPECT_EQ(got->stats.hops, stats.hops) << "q=" << q;
+        EXPECT_EQ(got->stats.dist_comps, stats.dist_comps) << "q=" << q;
+      }
     }
   }
 }

@@ -305,6 +305,32 @@ TEST(MemoryIndexRefineTest, SearchBatchHonorsRerankSpec) {
   }
 }
 
+// SDC navigates on a table that quantizes the query too. Its float-ADC stage
+// re-scores the beam's survivors with the query's own ADC table, so the
+// answer is the top-k of the whole SDC beam by ADC distance.
+TEST(MemoryIndexRefineTest, SdcAdcStageRescoresWithTheAdcTable) {
+  RefineFixture f = MakeRefineFixture(900, 8);
+  auto index = core::MemoryIndex::Build(f.base, f.graph, *f.pq);
+  const size_t m = f.pq->code_size();
+  const size_t k = 10, beam = 48;
+  for (size_t q = 0; q < f.queries.size(); ++q) {
+    auto got = index->Search(f.queries[q], k, {beam, k, {}},
+                             core::DistanceMode::kSdc,
+                             {beam, refine::RerankMode::kAdc});
+    auto whole = index->Search(f.queries[q], beam, {beam, beam, {}},
+                               core::DistanceMode::kSdc);
+    quant::AdcTable table(*f.pq, f.queries[q]);
+    std::vector<Neighbor> want;
+    for (const Neighbor& c : whole.results) {
+      want.push_back(
+          {table.Distance(index->codes().data() + size_t{c.id} * m), c.id});
+    }
+    std::sort(want.begin(), want.end());
+    want.resize(k);
+    EXPECT_EQ(got.results, want) << "q=" << q;
+  }
+}
+
 // ----------------------------------------------------------- IVF modes ----
 
 TEST(IvfRefineTest, ModeKnobSelectsStage) {

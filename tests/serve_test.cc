@@ -16,7 +16,6 @@
 #include "core/memory_index.h"
 #include "data/ground_truth.h"
 #include "data/synthetic.h"
-#include "eval/harness.h"
 #include "eval/recall.h"
 #include "graph/fresh_vamana.h"
 #include "graph/vamana.h"
@@ -376,32 +375,6 @@ TEST(LoadgenTest, SpecTemplateReachesTheService) {
     EXPECT_EQ(q.rerank, 40u);
     EXPECT_EQ(q.rerank_mode, refine::RerankMode::kExact);
     EXPECT_EQ(q.deadline_us, 5000u);
-  }
-}
-
-// ---------------------------------------------------- eval integration ----
-
-TEST(ParallelSweepTest, ParallelReplayKeepsRecallIdentical) {
-  Fixture f = MakeFixture(800, 16);
-  auto gt = ComputeGroundTruth(f.base, f.queries, 10);
-  std::atomic<size_t> calls{0};
-  eval::SearchFn fn = [&](const float* q, size_t k, size_t beam) {
-    calls.fetch_add(1, std::memory_order_relaxed);
-    auto out = f.index->Search(q, k, {beam, k});
-    eval::SearchOutcome o;
-    o.results = std::move(out.results);
-    o.hops = out.stats.hops;
-    return o;
-  };
-  std::vector<size_t> beams{16, 48};
-  auto serial = eval::SweepBeamWidths(fn, f.queries, gt, 10, beams, {1});
-  size_t serial_calls = calls.exchange(0);
-  auto parallel = eval::SweepBeamWidths(fn, f.queries, gt, 10, beams, {4});
-  EXPECT_EQ(serial_calls, calls.load());
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial[i].recall, parallel[i].recall);
-    EXPECT_DOUBLE_EQ(serial[i].mean_hops, parallel[i].mean_hops);
   }
 }
 

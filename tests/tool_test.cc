@@ -2,8 +2,9 @@
 // subprocess over a small generated fixture. The tests pin the rules the
 // backend factory owns (flag conflicts are errors, search and serve-bench
 // serve the same deployment for the same flags, IVF probes the index's saved
-// nprobe by default), train's single K rule, and the size rules between a
-// base and its graph.
+// nprobe by default), the --sweep-nprobe curve, train's single K rule, the
+// size and dimension rules between a base and its graph, queries and model,
+// and fvecs records of one dimension.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace {
 
@@ -73,6 +75,18 @@ class ToolTest : public ::testing::Test {
     std::smatch m;
     static const std::regex re("recall@10 ?[:=] +([0-9.]+)");
     return std::regex_search(out, m, re) ? m[1].str() : "";
+  }
+
+  // Generates a 960-d gist base (300 rows, 5 queries) in `dir` and trains a
+  // 4-bit m = 16 model on it, `dir`/gist.rpqq.
+  static bool MakeGist(const std::string& dir) {
+    std::filesystem::create_directory(dir);
+    return Tool("gen --name gist --n 300 --queries 5 --out " + dir).status ==
+               0 &&
+           Tool("train --base " + dir +
+                "/base.fvecs --method pq --nbits 4 --m 16 --out " + dir +
+                "/gist.rpqq")
+                   .status == 0;
   }
 
   static std::string dir_;
@@ -136,6 +150,30 @@ TEST_F(ToolTest, IvfProbesTheSavedDefaultNprobe) {
   ASSERT_EQ(serve.status, 0) << serve.err;
   EXPECT_NE(serve.out.find("(beam 2, 1 shards)"), std::string::npos)
       << serve.out;
+}
+
+// --sweep-nprobe replays the IVF service once per listed nprobe. Its CSV has
+// a header and one row per nprobe, and each row's recall is the one a plain
+// search at that nprobe prints.
+TEST_F(ToolTest, SweepNprobeRowsMatchSearchAtEachNprobe) {
+  const std::string backend =
+      Data() + " --model " + Path("model.rpqq") + " --index ivf --nlist 32";
+  const std::string csv = Path("sweep.csv");
+  const ToolRun sweep =
+      Tool("search" + backend + " --sweep-nprobe 1,2 --sweep-csv " + csv);
+  ASSERT_EQ(sweep.status, 0) << sweep.err;
+  const ToolRun search = Tool("search" + backend + " --nprobe 2");
+  ASSERT_EQ(search.status, 0) << search.err;
+
+  std::istringstream in(ReadFile(csv));
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(in, line);) rows.push_back(line);
+  ASSERT_EQ(rows.size(), 3u) << ReadFile(csv);
+  EXPECT_EQ(rows[0], "nprobe,recall@10,us_per_query");
+  EXPECT_EQ(rows[1].rfind("1,", 0), 0u) << rows[1];
+  ASSERT_EQ(rows[2].rfind("2,", 0), 0u) << rows[2];
+  const std::string recall = rows[2].substr(2, rows[2].find(',', 2) - 2);
+  EXPECT_EQ(recall, Recall(search.out)) << search.out;
 }
 
 TEST_F(ToolTest, TrainRejectsKAboveWhatTheCodesHold) {
@@ -220,6 +258,68 @@ TEST_F(ToolTest, GraphFromAnotherBaseIsAFlagError) {
               std::string::npos)
         << args << "\n" << r.err;
   }
+}
+
+// Queries are scored against base rows, so --queries of another dimension
+// is a flag error naming both. Unchecked, the 128-d sift queries were read
+// as 960-d rows (past the end of the query buffer) and recall was printed.
+TEST_F(ToolTest, QueriesOfAnotherDimensionAreAFlagError) {
+  const std::string gist = Path("gist_queries");
+  ASSERT_TRUE(MakeGist(gist));
+  const std::string backend = " --base " + gist + "/base.fvecs --queries " +
+                              Path("queries.fvecs") + " --model " + gist +
+                              "/gist.rpqq --index ivf --nlist 8";
+  for (const std::string& args :
+       {"search" + backend, "serve-bench" + backend + " --threads 1"}) {
+    const ToolRun r = Tool(args);
+    EXPECT_EQ(r.status, 1) << args << "\n" << r.out << r.err;
+    EXPECT_NE(r.err.find("--queries has dimension 128 but --base has "
+                         "dimension 960"),
+              std::string::npos)
+        << args << "\n" << r.err;
+  }
+}
+
+// A model encodes rows of its own dimension, so a --model of another
+// dimension than --base is a flag error wherever one is loaded. Unchecked,
+// the 960-d model encoded 128-d rows by reading past the base.
+TEST_F(ToolTest, ModelOfAnotherDimensionIsAFlagError) {
+  const std::string gist = Path("gist_model");
+  ASSERT_TRUE(MakeGist(gist));
+  const std::string model = " --model " + gist + "/gist.rpqq";
+  for (const std::string& args :
+       {"search" + Data() + " --graph " + Path("g.bin") + model + " --mode adc",
+        "search" + Data() + model + " --index ivf --nlist 8",
+        "encode --base " + Path("base.fvecs") + model + " --out " +
+            Path("gist_codes.bin")}) {
+    const ToolRun r = Tool(args);
+    EXPECT_EQ(r.status, 1) << args << "\n" << r.out << r.err;
+    EXPECT_NE(r.err.find("--model has dimension 960 but --base has "
+                         "dimension 128"),
+              std::string::npos)
+        << args << "\n" << r.err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(Path("gist_codes.bin")));
+}
+
+// An fvecs file whose records change dimension is a read error, not an
+// abort in Dataset::Append.
+TEST_F(ToolTest, MixedDimensionFvecsIsAnError) {
+  const std::string path = Path("mixed.fvecs");
+  {
+    std::ofstream out(path, std::ios::binary);
+    for (const int32_t dim : {4, 8}) {
+      out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+      const std::vector<float> row(dim, 1.0f);
+      out.write(reinterpret_cast<const char*>(row.data()),
+                sizeof(float) * row.size());
+    }
+  }
+  const ToolRun r = Tool("train --base " + path + " --method pq --m 2 --out " +
+                         Path("mixed.rpqq"));
+  EXPECT_EQ(r.status, 1) << r.out << r.err;
+  EXPECT_NE(r.err.find("has dimension 8, the first has 4"), std::string::npos)
+      << r.err;
 }
 
 // Vamana and NSG fill each vertex's list from more rows than --degree and

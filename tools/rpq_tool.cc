@@ -114,10 +114,17 @@
 // (src/refine/): how many candidates the estimate keeps and which stage
 // re-scores them — adc (float lookup tables), exact (raw rows; implies
 // --store-vectors for indexes built here), or linkcode (graph-regression
-// reconstructions; memory backend only). The disk backend reranks every
-// fetched vector exactly by construction: --rerank is ignored there,
-// --rerank-mode exact/auto is accepted, and the other stages are rejected
-// rather than silently serving something else.
+// reconstructions; memory backend only). The memory backend reranks in
+// every --mode: fastscan always, adc and sdc when --rerank-mode names a
+// stage (without one they return the beam's own top-k and --rerank is
+// unused). The disk backend reranks every fetched vector exactly by
+// construction: --rerank is ignored there, --rerank-mode exact/auto is
+// accepted, and the other stages are rejected rather than silently serving
+// something else.
+//
+// Inputs must agree on dimension: every command that loads --model checks
+// it against --base, and search and serve-bench check --queries too. fvecs
+// records of mixed dimension are a read error.
 //
 // serve-bench drives the concurrent serving subsystem (src/serve/): a
 // closed-loop load test with --threads clients (and, when --rate is given,
@@ -230,6 +237,41 @@ rpq::Result<Dataset> LoadBase(const Flags& flags) {
   const char* path = flags.Get("base");
   if (path == nullptr) return rpq::Status::InvalidArgument("--base is required");
   return rpq::io::ReadFvecs(path);
+}
+
+// Loads the quantizer at `path` (the --model flag's value) into *model. It
+// must encode rows of the base's dimension `dim`: a model of another
+// dimension would read past (or short of) every base row it encodes.
+rpq::Status LoadModel(const char* path, size_t dim,
+                      std::unique_ptr<rpq::quant::PqQuantizer>* model) {
+  if (path == nullptr) {
+    return rpq::Status::InvalidArgument("--model is required");
+  }
+  auto loaded = rpq::quant::LoadQuantizer(path);
+  if (!loaded.ok()) return loaded.status();
+  if (loaded.value()->dim() != dim) {
+    return rpq::Status::InvalidArgument(
+        "--model has dimension " + std::to_string(loaded.value()->dim()) +
+        " but --base has dimension " + std::to_string(dim));
+  }
+  *model = std::move(loaded.value());
+  return rpq::Status::OK();
+}
+
+// Loads --queries, whose rows must have the dimension of `base`'s: every
+// backend and the ground truth score each query against base rows.
+rpq::Result<Dataset> LoadQueriesFor(const Flags& flags, const Dataset& base) {
+  const char* path = flags.Get("queries");
+  if (path == nullptr) {
+    return rpq::Status::InvalidArgument("--queries is required");
+  }
+  auto queries = rpq::io::ReadFvecs(path);
+  if (queries.ok() && queries.value().dim() != base.dim()) {
+    return rpq::Status::InvalidArgument(
+        "--queries has dimension " + std::to_string(queries.value().dim()) +
+        " but --base has dimension " + std::to_string(base.dim()));
+  }
+  return queries;
 }
 
 // Loads a --graph built over `base`: vertex v is row v, so a graph of
@@ -406,15 +448,16 @@ int CmdEncode(const Flags& flags) {
   if (mpath == nullptr || out == nullptr) {
     return Fail("--model and --out are required");
   }
-  auto model = rpq::quant::LoadQuantizer(mpath);
-  if (!model.ok()) return Fail(model.status().ToString());
-  auto codes = model.value()->EncodeDataset(base.value());
-  auto s = rpq::quant::SaveCodes(codes, model.value()->code_size(), out);
+  std::unique_ptr<rpq::quant::PqQuantizer> model;
+  auto loaded = LoadModel(mpath, base.value().dim(), &model);
+  if (!loaded.ok()) return Fail(loaded.ToString());
+  auto codes = model->EncodeDataset(base.value());
+  auto s = rpq::quant::SaveCodes(codes, model->code_size(), out);
   if (!s.ok()) return Fail(s.ToString());
   std::printf("encoded %zu vectors at %zu bytes each (%.1fx compression)\n",
-              base.value().size(), model.value()->code_size(),
+              base.value().size(), model->code_size(),
               static_cast<double>(base.value().dim() * 4) /
-                  model.value()->code_size());
+                  model->code_size());
   return 0;
 }
 
@@ -425,18 +468,6 @@ rpq::Status GetRerankMode(const Flags& flags, rpq::refine::RerankMode* mode) {
   }
   return rpq::Status::InvalidArgument(
       "--rerank-mode must be adc, exact, or linkcode");
-}
-
-// Loads the quantizer at `path` (the --model flag's value) into *model.
-rpq::Status LoadModel(const char* path,
-                      std::unique_ptr<rpq::quant::PqQuantizer>* model) {
-  if (path == nullptr) {
-    return rpq::Status::InvalidArgument("--model is required");
-  }
-  auto loaded = rpq::quant::LoadQuantizer(path);
-  if (!loaded.ok()) return loaded.status();
-  *model = std::move(loaded.value());
-  return rpq::Status::OK();
 }
 
 // IVF refinement-stage validation shared by search, serve-bench, and
@@ -547,7 +578,7 @@ rpq::Status BuildIvf(const Flags& flags, const Dataset& base,
   opt.residual = flags.Has("residual");
   rpq::quant::PqOptions residual_model;
   if (model_path != nullptr || !opt.residual) {
-    RPQ_RETURN_NOT_OK(LoadModel(model_path, &b->model));
+    RPQ_RETURN_NOT_OK(LoadModel(model_path, base.dim(), &b->model));
     if (!rpq::quant::FastScanCapable(*b->model)) {
       return rpq::Status::InvalidArgument(
           "--index ivf needs a FastScan-capable model: 4-bit (--nbits 4) "
@@ -642,7 +673,7 @@ rpq::Status MakeBackend(const Flags& flags, const Dataset& base, Backend* b) {
         return rpq::Status::InvalidArgument(
             "--ivf needs --model (the quantizer the index was built with)");
       }
-      RPQ_RETURN_NOT_OK(LoadModel(mpath, &b->model));
+      RPQ_RETURN_NOT_OK(LoadModel(mpath, base.dim(), &b->model));
       auto loaded = rpq::ivf::IvfIndex::Load(path, *b->model);
       if (!loaded.ok()) return loaded.status();
       b->ivf = std::move(loaded.value());
@@ -656,7 +687,7 @@ rpq::Status MakeBackend(const Flags& flags, const Dataset& base, Backend* b) {
     return rpq::Status::OK();
   }
 
-  RPQ_RETURN_NOT_OK(LoadModel(flags.Get("model"), &b->model));
+  RPQ_RETURN_NOT_OK(LoadModel(flags.Get("model"), base.dim(), &b->model));
   if (shards > 1) {
     rpq::graph::VamanaOptions vopt;
     vopt.degree = flags.GetSize("degree", 32);
@@ -712,36 +743,30 @@ rpq::Status MakeBackend(const Flags& flags, const Dataset& base, Backend* b) {
     return rpq::Status::OK();
   }
 
-  // The memory backend. Its refinement epilogue belongs to --mode fastscan;
+  // The memory backend: every --mode shares one refinement epilogue, which
+  // fastscan always runs and adc/sdc run when --rerank-mode names a stage.
   // --rerank-mode exact implies retained rows.
-  if (rmode != rpq::refine::RerankMode::kAuto &&
-      mode != rpq::core::DistanceMode::kFastScan) {
-    return rpq::Status::InvalidArgument(
-        "--rerank-mode applies to --mode fastscan (the mode with a "
-        "refinement epilogue)");
-  }
   rpq::core::MemoryIndexOptions mopt;
   mopt.store_vectors = flags.Has("store-vectors") ||
                        rmode == rpq::refine::RerankMode::kExact;
   b->memory = rpq::core::MemoryIndex::Build(base, b->graph, *b->model, mopt);
-  if (mode == rpq::core::DistanceMode::kFastScan) {
-    if (!b->memory->fastscan_capable()) {
-      return rpq::Status::InvalidArgument(
-          "--mode fastscan needs a 4-bit model with m <= 256 (train with "
-          "--nbits 4)");
-    }
-    if (rmode == rpq::refine::RerankMode::kLinkCode) {
-      // A Link&Code model shaped like the quantizer (same m/K), with its
-      // own least-squares neighbor weights.
-      rpq::Timer lc_timer;
-      rpq::quant::LinkCodeOptions lopt;
-      lopt.pq.m = b->model->num_chunks();
-      lopt.pq.k = b->model->num_centroids();
-      lopt.pq.nbits = lopt.pq.k <= 16 ? 4 : 8;
-      b->linkcode = rpq::quant::LinkCodeIndex::Build(base, b->graph, lopt);
-      b->memory->set_linkcode(b->linkcode.get());
-      std::printf("linkcode model fit in %.1fs\n", lc_timer.ElapsedSeconds());
-    }
+  if (mode == rpq::core::DistanceMode::kFastScan &&
+      !b->memory->fastscan_capable()) {
+    return rpq::Status::InvalidArgument(
+        "--mode fastscan needs a 4-bit model with m <= 256 (train with "
+        "--nbits 4)");
+  }
+  if (rmode == rpq::refine::RerankMode::kLinkCode) {
+    // A Link&Code model shaped like the quantizer (same m/K), with its own
+    // least-squares neighbor weights.
+    rpq::Timer lc_timer;
+    rpq::quant::LinkCodeOptions lopt;
+    lopt.pq.m = b->model->num_chunks();
+    lopt.pq.k = b->model->num_centroids();
+    lopt.pq.nbits = lopt.pq.k <= 16 ? 4 : 8;
+    b->linkcode = rpq::quant::LinkCodeIndex::Build(base, b->graph, lopt);
+    b->memory->set_linkcode(b->linkcode.get());
+    std::printf("linkcode model fit in %.1fs\n", lc_timer.ElapsedSeconds());
   }
   b->owned_service =
       std::make_unique<rpq::serve::MemoryIndexService>(*b->memory, mode);
@@ -877,9 +902,7 @@ int CmdBuildIvf(const Flags& flags) {
 int CmdSearch(const Flags& flags) {
   auto base = LoadBase(flags);
   if (!base.ok()) return Fail(base.status().ToString());
-  const char* qpath = flags.Get("queries");
-  if (qpath == nullptr) return Fail("--queries is required");
-  auto queries = rpq::io::ReadFvecs(qpath);
+  auto queries = LoadQueriesFor(flags, base.value());
   if (!queries.ok()) return Fail(queries.status().ToString());
   // Every index is built (or loaded) before the timed loop: the printed QPS
   // covers query work only.
@@ -895,18 +918,8 @@ int CmdSearch(const Flags& flags) {
       sweep != nullptr && backend.ivf != nullptr) {
     auto nprobes = ParseSizeList(sweep);
     if (nprobes.empty()) return Fail("--sweep-nprobe expects n1,n2,...");
-    rpq::eval::SearchFn fn = [&backend](const float* q, size_t kk,
-                                        size_t nprobe) {
-      rpq::serve::QuerySpec spec = backend.spec;
-      spec.query = q;
-      spec.k = kk;
-      spec.beam_width = nprobe;
-      rpq::serve::QueryResult r = backend.service->Search(spec);
-      return rpq::eval::SearchOutcome{std::move(r.results), r.stats.hops,
-                                      r.simulated_io_seconds};
-    };
-    auto curve =
-        rpq::eval::SweepBeamWidths(fn, queries.value(), gt, k, nprobes);
+    auto curve = rpq::eval::SweepBeamWidths(*backend.service, backend.spec,
+                                            queries.value(), gt, nprobes);
     rpq::eval::PrintCurve("ivf", curve);
     if (const char* csv = flags.Get("sweep-csv")) {
       auto s = rpq::eval::WriteCurveCsv(csv, "nprobe", curve);
@@ -968,9 +981,7 @@ int CmdSearch(const Flags& flags) {
 int CmdServeBench(const Flags& flags) {
   auto base = LoadBase(flags);
   if (!base.ok()) return Fail(base.status().ToString());
-  const char* qpath = flags.Get("queries");
-  if (qpath == nullptr) return Fail("--queries is required");
-  auto queries = rpq::io::ReadFvecs(qpath);
+  auto queries = LoadQueriesFor(flags, base.value());
   if (!queries.ok()) return Fail(queries.status().ToString());
 
   rpq::serve::LoadgenOptions opt;
