@@ -10,7 +10,8 @@
 # Env:
 #   BUILD_DIR  build directory           (default: build)
 #   OUT        output JSON path          (default: BENCH_micro.json)
-#   RPQ_DISABLE_SIMD=1 / RPQ_SIMD=name   select the kernel backend under test
+#   RPQ_SIMD   kernel backend under test: scalar|avx2|avx512|neon
+#              (default: the best the CPU supports)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

@@ -3,7 +3,7 @@
 //
 // These are thin wrappers over the runtime-dispatched SIMD kernel subsystem
 // (src/simd/): AVX-512/AVX2/NEON when the CPU has them, a scalar reference
-// otherwise, and RPQ_DISABLE_SIMD=1 forces the scalar path.
+// otherwise, and RPQ_SIMD=scalar forces the scalar path.
 #pragma once
 
 #include <cstddef>

@@ -83,9 +83,6 @@ class SsdSimulator {
   /// Total bytes the simulated device occupies.
   size_t DeviceBytes() const { return arena_.size(); }
 
-  /// The device's effective fault plan (own knobs merged with RPQ_FAULTS).
-  fault::Plan fault_plan() const { return injector_.plan(); }
-
   /// The device's configuration (queue depth, latency, fault knobs).
   const SsdOptions& options() const { return opt_; }
 

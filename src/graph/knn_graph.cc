@@ -9,10 +9,6 @@
 
 namespace rpq::graph {
 
-KnnLists BuildExactKnn(const Dataset& base, size_t k, ThreadPool* pool) {
-  return ComputeSelfKnn(base, k, pool);
-}
-
 KnnLists BuildNnDescent(const Dataset& base, const NnDescentOptions& opt) {
   size_t n = base.size();
   RPQ_CHECK_GT(n, opt.k);
@@ -128,7 +124,7 @@ KnnLists BuildNnDescent(const Dataset& base, const NnDescentOptions& opt) {
 
 KnnLists BuildKnnAuto(const Dataset& base, size_t k, ThreadPool* pool) {
   constexpr size_t kExactLimit = 12000;
-  if (base.size() <= kExactLimit) return BuildExactKnn(base, k, pool);
+  if (base.size() <= kExactLimit) return ComputeSelfKnn(base, k, pool);
   NnDescentOptions opt;
   opt.k = k;
   return BuildNnDescent(base, opt);

@@ -14,9 +14,6 @@ namespace rpq::graph {
 /// knn[i] = up to k nearest neighbors of base[i] (ascending), self excluded.
 using KnnLists = std::vector<std::vector<Neighbor>>;
 
-/// Exact kNN lists by brute force (O(n^2 d); fine up to ~20k points).
-KnnLists BuildExactKnn(const Dataset& base, size_t k, ThreadPool* pool = nullptr);
-
 /// NN-Descent [Dong et al.]: iterative neighbor-of-neighbor refinement.
 /// Approximate but near-linear; used for larger bases.
 struct NnDescentOptions {
@@ -27,7 +24,8 @@ struct NnDescentOptions {
 };
 KnnLists BuildNnDescent(const Dataset& base, const NnDescentOptions& options);
 
-/// Chooses exact vs NN-Descent by base size (threshold picked for 1 core).
+/// Chooses exact lists (ComputeSelfKnn, brute force) vs NN-Descent by base
+/// size (threshold picked for 1 core).
 KnnLists BuildKnnAuto(const Dataset& base, size_t k, ThreadPool* pool = nullptr);
 
 /// Index of the medoid: the vector minimizing distance to the dataset mean.

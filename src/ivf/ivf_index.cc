@@ -462,11 +462,6 @@ size_t IvfIndex::size() const {
   return num_codes_;
 }
 
-size_t IvfIndex::list_size(size_t l) const {
-  std::shared_lock<WriterPriorityMutex> lock(mu_);
-  return lists_[l].ids.size();
-}
-
 size_t IvfIndex::MemoryBytes() const {
   std::shared_lock<WriterPriorityMutex> lock(mu_);
   size_t total = centroids_.size() * sizeof(float);

@@ -165,7 +165,6 @@ class IvfIndex {
   size_t nlist() const { return nlist_; }
   size_t dim() const { return dim_; }
   size_t size() const;  ///< total indexed vectors (locks)
-  size_t list_size(size_t l) const;
   bool stores_vectors() const { return options_.store_vectors; }
   bool residual() const { return options_.residual; }
   /// Cells a query probes when IvfSearchOptions.nprobe is 0 (saved with the

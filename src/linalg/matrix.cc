@@ -21,18 +21,6 @@ Matrix Matrix::Transposed() const {
   return t;
 }
 
-float Matrix::FrobeniusNorm() const {
-  double acc = 0;
-  for (float v : data_) acc += static_cast<double>(v) * v;
-  return static_cast<float>(std::sqrt(acc));
-}
-
-float Matrix::MaxAbs() const {
-  float m = 0;
-  for (float v : data_) m = std::max(m, std::fabs(v));
-  return m;
-}
-
 Matrix& Matrix::operator+=(const Matrix& o) {
   RPQ_CHECK(rows_ == o.rows_ && cols_ == o.cols_);
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += o.data_[i];

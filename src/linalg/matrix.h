@@ -27,10 +27,6 @@ class Matrix {
   float At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
 
   Matrix Transposed() const;
-  /// Frobenius norm.
-  float FrobeniusNorm() const;
-  /// Max |a_ij|.
-  float MaxAbs() const;
 
   Matrix& operator+=(const Matrix& o);
   Matrix& operator-=(const Matrix& o);

@@ -1,7 +1,7 @@
 // Asymmetric Distance Computation (ADC) helpers [37]: the query builds one
 // lookup table of sub-distances; any database code's distance is then M table
-// reads + adds. Batched scans go through the SIMD kernel subsystem and score
-// 8-16 codes per iteration with vectorized table gathers.
+// reads + adds. DistanceLut owns the one batched scan: four codes per
+// iteration in four independent add chains.
 #pragma once
 
 #include <cstdint>
@@ -9,14 +9,13 @@
 
 #include "quant/pq.h"
 #include "quant/quantizer.h"
-#include "simd/simd.h"
 
 namespace rpq::quant {
 
 /// Query-time lookup-table state shared by ADC and SDC:
 /// table[j*K + k] = delta(query chunk j, codeword k). Supports single-code
-/// and batched (vectorized) scans; the batched paths accumulate in the same
-/// chunk order as Distance(), so all of them agree bit-for-bit.
+/// and batched scans; the batched scans accumulate in the same chunk order
+/// as Distance(), so all of them agree bit-for-bit.
 class DistanceLut {
  public:
   /// Estimated squared distance of one code to the query.
@@ -27,24 +26,13 @@ class DistanceLut {
     return acc;
   }
 
-  /// Batched scan over n contiguous codes (code i at codes + i*code_size()).
-  void DistanceBatch(const uint8_t* codes, size_t n, float* out) const {
-    simd::AdcBatch(table_.data(), m_, k_, codes, m_, n, out);
-  }
-
-  /// Batched scan over n codes at an explicit byte stride.
-  void DistanceBatch(const uint8_t* codes, size_t code_stride, size_t n,
-                     float* out) const {
-    simd::AdcBatch(table_.data(), m_, k_, codes, code_stride, n, out);
-  }
+  /// Batched scan over n contiguous codes (code i at codes + i*num_chunks()).
+  void DistanceBatch(const uint8_t* codes, size_t n, float* out) const;
 
   /// Batched scan of codes addressed by vertex id: code for out[i] starts at
   /// codes + ids[i]*code_stride. This is the beam-search expansion kernel.
   void DistanceBatchGather(const uint8_t* codes, size_t code_stride,
-                           const uint32_t* ids, size_t n, float* out) const {
-    simd::AdcBatchGather(table_.data(), m_, k_, codes, code_stride, ids, n,
-                         out);
-  }
+                           const uint32_t* ids, size_t n, float* out) const;
 
   size_t num_chunks() const { return m_; }
   size_t num_centroids() const { return k_; }

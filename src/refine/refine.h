@@ -189,13 +189,13 @@ class Refiner {
 };
 
 /// Float-ADC stage: lookup-table sums at full float precision, batched
-/// through the SIMD kernels (simd::AdcBatch / AdcBatchGather — bit-identical
-/// to per-code DistanceLut::Distance on every backend).
+/// through DistanceLut's scan (DistanceBatch / DistanceBatchGather —
+/// bit-identical to per-code DistanceLut::Distance on every backend).
 ///
 /// Two storage shapes: a flat code array addressed by global id (graph
-/// backends — the batch is one gather kernel call), or a resolver callback
-/// for scattered storage (IVF's per-list arrays — codes are copied into a
-/// contiguous scratch block and scanned with the stride kernel).
+/// backends — the batch is one DistanceBatchGather call), or a resolver
+/// callback for scattered storage (IVF's per-list arrays — codes are copied
+/// into a contiguous scratch block and scanned with DistanceBatch).
 class AdcRefiner : public Refiner {
  public:
   using CodeFn = std::function<const uint8_t*(const Candidate&)>;

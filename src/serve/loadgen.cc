@@ -174,7 +174,6 @@ LoadReport RunOpenLoop(const ServingEngine& engine, const Dataset& queries,
 
   std::mt19937_64 rng(options.seed);
   std::exponential_distribution<double> exp_gap(options.arrival_qps);
-  const double fixed_gap = 1.0 / options.arrival_qps;
 
   std::mutex mu;
   obs::HistogramData lat_hist;
@@ -250,7 +249,7 @@ LoadReport RunOpenLoop(const ServingEngine& engine, const Dataset& queries,
       inflight.emplace_back(std::move(fut), arrival);
     }
     cv.notify_one();
-    next_arrival += options.poisson ? exp_gap(rng) : fixed_gap;
+    next_arrival += exp_gap(rng);
   }
   if (batcher != nullptr) batcher->Flush();
   {

@@ -3,10 +3,10 @@
 // Two standard modes:
 //  - Closed loop: T client threads each issue queries back-to-back; measures
 //    saturated throughput and service latency (no queueing).
-//  - Open loop: queries arrive on a Poisson (or fixed-interval) schedule
-//    independent of completions and run through a ServingEngine; measured
-//    latency includes queueing delay, so it shows what a target arrival
-//    rate actually costs — the honest way to report p99 under load.
+//  - Open loop: queries arrive on a Poisson schedule independent of
+//    completions and run through a ServingEngine; measured latency
+//    includes queueing delay, so it shows what a target arrival rate
+//    actually costs — the honest way to report p99 under load.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,6 @@ struct LoadgenOptions {
   size_t threads = 4;        ///< closed loop: client threads
   size_t total_queries = 0;  ///< 0 = one pass over the query set
   double arrival_qps = 0;    ///< open loop: target arrival rate (required)
-  bool poisson = true;       ///< open loop: exponential vs fixed interarrival
   /// Open loop: > 1 routes arrivals through a MicroBatcher of this max batch
   /// size instead of per-query engine dispatch (occupancy shows up in the
   /// serve.batch_occupancy metric). 0/1 = unbatched.

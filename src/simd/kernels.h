@@ -10,9 +10,9 @@
 namespace rpq::simd {
 
 /// One vtable of hot kernels. Every backend must produce results that agree
-/// with the scalar reference within 1e-4 relative error; the ADC kernels
-/// accumulate in the same chunk order as the scalar path and are therefore
-/// bit-identical to it.
+/// with the scalar reference within 1e-4 relative error; the FastScan
+/// kernels are integer sums and therefore bit-identical to it. The float
+/// ADC table scan is not here: quant::DistanceLut owns its one loop.
 struct KernelOps {
   const char* name;  ///< "scalar", "avx2", "avx512", "neon"
 
@@ -29,18 +29,6 @@ struct KernelOps {
   /// sums in the scalar reference's order, so results are bit-identical.
   void (*l2_to_many)(const float* q, const float* base, size_t n, size_t d,
                      float* out);
-
-  /// Batched ADC scan over contiguous codes:
-  ///   out[i] = sum_j table[j*k + codes[i*code_stride + j]],  j in [0, m).
-  void (*adc_batch)(const float* table, size_t m, size_t k,
-                    const uint8_t* codes, size_t code_stride, size_t n,
-                    float* out);
-
-  /// Batched ADC scan gathering codes by vertex id (beam-search expansion):
-  ///   out[i] = sum_j table[j*k + codes[ids[i]*code_stride + j]].
-  void (*adc_batch_gather)(const float* table, size_t m, size_t k,
-                           const uint8_t* codes, size_t code_stride,
-                           const uint32_t* ids, size_t n, float* out);
 
   /// FastScan (LUT16) scan over transposed 4-bit codes: `packed` holds
   /// n_blocks blocks of 32 codes; each block is m2/2 rows of 32 bytes where

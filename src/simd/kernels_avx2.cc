@@ -1,9 +1,6 @@
-// AVX2 + FMA kernels. Compiled with -mavx2 -mfma (see CMakeLists.txt); only
-// ever called after dispatch.cc has verified the CPU supports AVX2.
-//
-// The ADC kernels use vpgatherdps on the lookup-table rows and keep one
-// accumulator lane per code, adding chunks in index order — bit-identical to
-// the scalar reference, which the beam-search regression test relies on.
+// AVX2 + FMA kernels: distances, the L2ToMany table builders and the
+// FastScan pshufb scans. Compiled with -mavx2 -mfma (see CMakeLists.txt);
+// only ever called after dispatch.cc has verified the CPU supports AVX2.
 #include "simd/kernels.h"
 
 #if defined(RPQ_HAVE_AVX2)
@@ -177,71 +174,6 @@ void L2ToManyAvx2(const float* q, const float* base, size_t n, size_t d,
   }
 }
 
-// Chunk-j lookup indices for eight codes.
-inline __m256i LoadIdx8(const uint8_t* const* c, size_t j) {
-  return _mm256_setr_epi32(c[0][j], c[1][j], c[2][j], c[3][j], c[4][j], c[5][j],
-                           c[6][j], c[7][j]);
-}
-
-inline float AdcOne(const float* table, size_t m, size_t k,
-                    const uint8_t* code) {
-  float acc = 0.f;
-  const float* t = table;
-  for (size_t j = 0; j < m; ++j, t += k) acc += t[code[j]];
-  return acc;
-}
-
-// Sixteen codes in flight: two gather+add chains (one per 8-code group) so the
-// vector-add latency of one chain overlaps the gathers of the other.
-template <typename GetPtr>
-void AdcBatchImpl(const float* table, size_t m, size_t k, GetPtr ptr, size_t n,
-                  float* out) {
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8_t* c[16];
-    for (size_t r = 0; r < 16; ++r) {
-      c[r] = ptr(i + r);
-      _mm_prefetch(reinterpret_cast<const char*>(c[r]), _MM_HINT_T0);
-    }
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    const float* t = table;
-    for (size_t j = 0; j < m; ++j, t += k) {
-      acc0 = _mm256_add_ps(acc0, _mm256_i32gather_ps(t, LoadIdx8(c, j), 4));
-      acc1 = _mm256_add_ps(acc1, _mm256_i32gather_ps(t, LoadIdx8(c + 8, j), 4));
-    }
-    _mm256_storeu_ps(out + i, acc0);
-    _mm256_storeu_ps(out + i + 8, acc1);
-  }
-  if (i + 8 <= n) {
-    const uint8_t* c[8];
-    for (size_t r = 0; r < 8; ++r) c[r] = ptr(i + r);
-    __m256 acc = _mm256_setzero_ps();
-    const float* t = table;
-    for (size_t j = 0; j < m; ++j, t += k) {
-      acc = _mm256_add_ps(acc, _mm256_i32gather_ps(t, LoadIdx8(c, j), 4));
-    }
-    _mm256_storeu_ps(out + i, acc);
-    i += 8;
-  }
-  for (; i < n; ++i) out[i] = AdcOne(table, m, k, ptr(i));
-}
-
-void AdcBatchAvx2(const float* table, size_t m, size_t k, const uint8_t* codes,
-                  size_t code_stride, size_t n, float* out) {
-  AdcBatchImpl(
-      table, m, k, [&](size_t i) { return codes + i * code_stride; }, n, out);
-}
-
-void AdcBatchGatherAvx2(const float* table, size_t m, size_t k,
-                        const uint8_t* codes, size_t code_stride,
-                        const uint32_t* ids, size_t n, float* out) {
-  AdcBatchImpl(
-      table, m, k,
-      [&](size_t i) { return codes + static_cast<size_t>(ids[i]) * code_stride; },
-      n, out);
-}
-
 // FastScan: the 16-entry LUT rows live in registers (each duplicated across
 // both 128-bit lanes) and one vpshufb scores a whole 32-code block row. The
 // u8 lookup values are widened to u16 before accumulating, so sums are exact
@@ -378,9 +310,9 @@ namespace internal {
 
 const KernelOps& Avx2Kernels() {
   static const KernelOps ops = {
-      "avx2",          SquaredL2Avx2, DotAvx2,      SquaredNormAvx2,
-      L2ToManyAvx2,    AdcBatchAvx2,  AdcBatchGatherAvx2,
-      AdcFastScanAvx2, AdcFastScanMultiAvx2,
+      "avx2",          SquaredL2Avx2,   DotAvx2,
+      SquaredNormAvx2, L2ToManyAvx2,    AdcFastScanAvx2,
+      AdcFastScanMultiAvx2,
   };
   return ops;
 }

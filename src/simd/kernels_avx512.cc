@@ -1,6 +1,6 @@
-// AVX-512F kernels: 16-wide FMA distances/table builds and 16-lane gather ADC
-// scans. Avx512Kernels() starts from the AVX2 set and overrides what the
-// wider ISA improves.
+// AVX-512F kernels: 16-wide FMA distances/table builds and, on BW CPUs,
+// 512-bit FastScan shuffles. Avx512Kernels() starts from the AVX2 set and
+// overrides what the wider ISA improves.
 #include "simd/kernels.h"
 
 #if defined(RPQ_HAVE_AVX512)
@@ -78,74 +78,6 @@ void L2ToManyAvx512(const float* q, const float* base, size_t n, size_t d,
                                 _MM_HINT_T0);
     out[i] = SquaredL2Avx512(q, base + i * d, d);
   }
-}
-
-// Chunk-j lookup indices for sixteen codes (_mm512_set_epi32 takes operands
-// high-lane first).
-inline __m512i LoadIdx16(const uint8_t* const* c, size_t j) {
-  return _mm512_set_epi32(c[15][j], c[14][j], c[13][j], c[12][j], c[11][j],
-                          c[10][j], c[9][j], c[8][j], c[7][j], c[6][j], c[5][j],
-                          c[4][j], c[3][j], c[2][j], c[1][j], c[0][j]);
-}
-
-inline float AdcOne(const float* table, size_t m, size_t k,
-                    const uint8_t* code) {
-  float acc = 0.f;
-  const float* t = table;
-  for (size_t j = 0; j < m; ++j, t += k) acc += t[code[j]];
-  return acc;
-}
-
-// 32 codes in flight: two 16-lane gather+add chains. One accumulator lane per
-// code, chunks added in index order — bit-identical to the scalar reference.
-template <typename GetPtr>
-void AdcBatchImpl512(const float* table, size_t m, size_t k, GetPtr ptr,
-                     size_t n, float* out) {
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const uint8_t* c[32];
-    for (size_t r = 0; r < 32; ++r) {
-      c[r] = ptr(i + r);
-      _mm_prefetch(reinterpret_cast<const char*>(c[r]), _MM_HINT_T0);
-    }
-    __m512 acc0 = _mm512_setzero_ps();
-    __m512 acc1 = _mm512_setzero_ps();
-    const float* t = table;
-    for (size_t j = 0; j < m; ++j, t += k) {
-      acc0 = _mm512_add_ps(acc0, _mm512_i32gather_ps(LoadIdx16(c, j), t, 4));
-      acc1 = _mm512_add_ps(acc1, _mm512_i32gather_ps(LoadIdx16(c + 16, j), t, 4));
-    }
-    _mm512_storeu_ps(out + i, acc0);
-    _mm512_storeu_ps(out + i + 16, acc1);
-  }
-  if (i + 16 <= n) {
-    const uint8_t* c[16];
-    for (size_t r = 0; r < 16; ++r) c[r] = ptr(i + r);
-    __m512 acc = _mm512_setzero_ps();
-    const float* t = table;
-    for (size_t j = 0; j < m; ++j, t += k) {
-      acc = _mm512_add_ps(acc, _mm512_i32gather_ps(LoadIdx16(c, j), t, 4));
-    }
-    _mm512_storeu_ps(out + i, acc);
-    i += 16;
-  }
-  for (; i < n; ++i) out[i] = AdcOne(table, m, k, ptr(i));
-}
-
-void AdcBatchAvx512(const float* table, size_t m, size_t k,
-                    const uint8_t* codes, size_t code_stride, size_t n,
-                    float* out) {
-  AdcBatchImpl512(
-      table, m, k, [&](size_t i) { return codes + i * code_stride; }, n, out);
-}
-
-void AdcBatchGatherAvx512(const float* table, size_t m, size_t k,
-                          const uint8_t* codes, size_t code_stride,
-                          const uint32_t* ids, size_t n, float* out) {
-  AdcBatchImpl512(
-      table, m, k,
-      [&](size_t i) { return codes + static_cast<size_t>(ids[i]) * code_stride; },
-      n, out);
 }
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -362,8 +294,6 @@ const KernelOps& Avx512Kernels() {
     o.dot = DotAvx512;
     o.squared_norm = SquaredNormAvx512;
     o.l2_to_many = L2ToManyAvx512;
-    o.adc_batch = AdcBatchAvx512;
-    o.adc_batch_gather = AdcBatchGatherAvx512;
 #if defined(RPQ_HAVE_AVX512BW_KERNEL)
     // The 512-bit shuffle kernels need AVX-512BW; on F-only CPUs keep the
     // inherited (AVX2 or scalar) FastScan implementations.

@@ -1,10 +1,7 @@
 // NEON kernels for aarch64 (NEON is baseline there, so no extra compile
-// flags). The float-table ADC scans stay on the unrolled scalar
-// implementations, which autovectorize poorly but are already
-// latency-optimized; byte-indexed table gathers have no NEON equivalent
-// worth the shuffle overhead at K = 256. The FastScan path is different:
-// K = 16 u8 LUTs fit one vqtbl1q_u8 table register, so the 4-bit scan gets a
-// real shuffle kernel.
+// flags): distances, table builds and the FastScan scans. K = 16 u8 LUTs fit
+// one vqtbl1q_u8 table register, so the 4-bit scan gets a real shuffle
+// kernel.
 #include "simd/kernels.h"
 
 #if defined(RPQ_HAVE_NEON)

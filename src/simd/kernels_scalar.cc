@@ -1,9 +1,7 @@
 // Portable scalar reference kernels. Every SIMD backend is validated against
-// these in tests/simd_kernel_test.cc. The ADC kernels accumulate chunk-by-
-// chunk in index order so vector backends can match them bit-for-bit.
+// these in tests/simd_kernel_test.cc. The FastScan kernels are integer sums,
+// so vector backends match them bit-for-bit.
 #include "simd/kernels.h"
-
-#include <cstring>
 
 namespace rpq::simd {
 namespace {
@@ -50,58 +48,6 @@ void L2ToManyScalar(const float* q, const float* base, size_t n, size_t d,
   for (size_t i = 0; i < n; ++i) out[i] = SquaredL2Scalar(q, base + i * d, d);
 }
 
-// One code, m table reads + adds in chunk order.
-inline float AdcOne(const float* table, size_t m, size_t k,
-                    const uint8_t* code) {
-  float acc = 0.f;
-  const float* t = table;
-  for (size_t j = 0; j < m; ++j, t += k) acc += t[code[j]];
-  return acc;
-}
-
-// Four independent accumulator chains hide the add latency that dominates
-// the naive per-code loop; each chain still sums in chunk order.
-template <typename GetPtr>
-void AdcBatchImpl(const float* table, size_t m, size_t k, GetPtr ptr, size_t n,
-                  float* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint8_t* c0 = ptr(i);
-    const uint8_t* c1 = ptr(i + 1);
-    const uint8_t* c2 = ptr(i + 2);
-    const uint8_t* c3 = ptr(i + 3);
-    float a0 = 0.f, a1 = 0.f, a2 = 0.f, a3 = 0.f;
-    const float* t = table;
-    for (size_t j = 0; j < m; ++j, t += k) {
-      a0 += t[c0[j]];
-      a1 += t[c1[j]];
-      a2 += t[c2[j]];
-      a3 += t[c3[j]];
-    }
-    out[i] = a0;
-    out[i + 1] = a1;
-    out[i + 2] = a2;
-    out[i + 3] = a3;
-  }
-  for (; i < n; ++i) out[i] = AdcOne(table, m, k, ptr(i));
-}
-
-void AdcBatchScalar(const float* table, size_t m, size_t k,
-                    const uint8_t* codes, size_t code_stride, size_t n,
-                    float* out) {
-  AdcBatchImpl(
-      table, m, k, [&](size_t i) { return codes + i * code_stride; }, n, out);
-}
-
-void AdcBatchGatherScalar(const float* table, size_t m, size_t k,
-                          const uint8_t* codes, size_t code_stride,
-                          const uint32_t* ids, size_t n, float* out) {
-  AdcBatchImpl(
-      table, m, k,
-      [&](size_t i) { return codes + static_cast<size_t>(ids[i]) * code_stride; },
-      n, out);
-}
-
 // FastScan reference: per block, walk the m2/2 nibble-pair rows and add both
 // LUT entries of every code. Integer adds in any order give the same sums,
 // so SIMD backends are bit-identical by construction.
@@ -140,9 +86,9 @@ namespace internal {
 
 const KernelOps& ScalarKernels() {
   static const KernelOps ops = {
-      "scalar",          SquaredL2Scalar, DotScalar,
-      SquaredNormScalar, L2ToManyScalar,  AdcBatchScalar,
-      AdcBatchGatherScalar, AdcFastScanScalar, AdcFastScanMultiScalar,
+      "scalar",          SquaredL2Scalar,   DotScalar,
+      SquaredNormScalar, L2ToManyScalar,    AdcFastScanScalar,
+      AdcFastScanMultiScalar,
   };
   return ops;
 }

@@ -1,12 +1,10 @@
 // Public entry point of the SIMD kernel subsystem.
 //
 // All hot per-element math in the library funnels through the function
-// pointers returned by Ops(). The backend is chosen once, at first use:
-//   1. RPQ_DISABLE_SIMD=1 in the environment forces the scalar reference path.
-//   2. RPQ_SIMD=scalar|avx2|avx512|neon requests a specific backend (ignored
-//      when the CPU or build does not support it).
-//   3. Otherwise the best backend the CPU supports wins (avx512 > avx2 > neon
-//      > scalar).
+// pointers returned by Ops(). The backend is chosen once, at first use, from
+// the CPU alone: the best backend it supports wins (avx512 > avx2 > neon >
+// scalar). RPQ_SIMD=scalar|avx2|avx512|neon is the one override; a name the
+// CPU or build does not support is ignored.
 // ScalarOps() is always the portable reference implementation, kept around so
 // tests and benchmarks can compare against it.
 #pragma once
@@ -21,7 +19,7 @@ const KernelOps& Ops();
 /// Portable scalar reference kernels.
 const KernelOps& ScalarOps();
 
-/// Name of the active backend ("scalar", "avx2", ...).
+/// Name of the active backend: "scalar", "avx2", "avx512" or "neon".
 const char* ActiveKernelName();
 
 inline float SquaredL2(const float* a, const float* b, size_t d) {
@@ -40,20 +38,6 @@ inline float SquaredNorm(const float* a, size_t d) {
 inline void L2ToMany(const float* q, const float* base, size_t n, size_t d,
                      float* out) {
   Ops().l2_to_many(q, base, n, d, out);
-}
-
-/// Batched ADC scan over contiguous codes (stride between codes in bytes).
-inline void AdcBatch(const float* table, size_t m, size_t k,
-                     const uint8_t* codes, size_t code_stride, size_t n,
-                     float* out) {
-  Ops().adc_batch(table, m, k, codes, code_stride, n, out);
-}
-
-/// Batched ADC scan over codes addressed by vertex id.
-inline void AdcBatchGather(const float* table, size_t m, size_t k,
-                           const uint8_t* codes, size_t code_stride,
-                           const uint32_t* ids, size_t n, float* out) {
-  Ops().adc_batch_gather(table, m, k, codes, code_stride, ids, n, out);
 }
 
 /// FastScan scan over n_blocks 32-code blocks of transposed 4-bit codes:

@@ -208,8 +208,8 @@ std::vector<Neighbor> ReferenceSearch(const ivf::IvfIndex& ix,
 
 // The acceptance bar: the index's routed, kernel-scanned, reranked result
 // equals the scalar hand-rolled reference exactly — candidate estimates are
-// bit-identical, so ranking decisions are too (runs under both dispatched
-// SIMD and RPQ_DISABLE_SIMD=1 in CI). Every regime runs through the one
+// bit-identical, so ranking decisions are too (runs under dispatched SIMD,
+// RPQ_SIMD=avx2 and RPQ_SIMD=scalar in CI). Every regime runs through the one
 // scan body, so each is pinned, for single queries and for a batch whose
 // cells are shared across queries. A rerank width of k keeps exactly the
 // top-k estimates, so any estimate error near the cut changes the answer;

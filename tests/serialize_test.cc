@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "data/synthetic.h"
 #include "quant/opq.h"
 #include "quant/serialize.h"
+#include "quant/split.h"
 
 namespace rpq::quant {
 namespace {
@@ -60,6 +62,51 @@ TEST(SerializeTest, RotatedQuantizerRoundTrip) {
   opq->BuildLookupTable(d[0], t1.data());
   loaded.value()->BuildLookupTable(d[0], t2.data());
   for (size_t i = 0; i < entries; ++i) EXPECT_EQ(t1[i], t2[i]) << "entry " << i;
+  std::remove(path.c_str());
+}
+
+// A split model stores only its two 16-word level codebooks; load rebuilds
+// the product codebook and the cross table from them. The reloaded model
+// must encode and build FastScan tables exactly as the trained one, and the
+// CRC trailer must catch one flipped payload byte.
+TEST(SerializeTest, SplitModelRoundTrip) {
+  Dataset d = SmallData();
+  PqOptions opt;
+  opt.m = 4;
+  opt.kmeans_iters = 4;
+  auto split = TrainSplitPq(d, opt);
+  ASSERT_NE(split->split_model(), nullptr);
+  std::string path = ::testing::TempDir() + "/split.rpqq";
+  ASSERT_TRUE(SaveQuantizer(*split, path).ok());
+  auto loaded = LoadQuantizer(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const PqQuantizer& back = *loaded.value();
+  ASSERT_NE(back.split_model(), nullptr);
+  EXPECT_EQ(back.EncodeDataset(d), split->EncodeDataset(d));
+  for (size_t q : {size_t(0), size_t(7), size_t(123)}) {
+    const FastScanTable want = SplitTable(*split, d[q]);
+    const FastScanTable got = SplitTable(back, d[q]);
+    ASSERT_EQ(got.padded_chunks(), want.padded_chunks());
+    EXPECT_EQ(std::memcmp(got.lut8(), want.lut8(), want.padded_chunks() * 16),
+              0)
+        << "query " << q;
+    EXPECT_EQ(got.bias(), want.bias()) << "query " << q;
+    EXPECT_EQ(got.scale(), want.scale()) << "query " << q;
+  }
+
+  // Header: magic, version, dim, m, k (4 bytes each), has_rot, has_split.
+  const long payload = 4 * 5 + 2;
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, payload + 5, SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, payload + 5, SEEK_SET), 0);
+  std::fputc(byte ^ 0x10, f);
+  std::fclose(f);
+  auto corrupt = LoadQuantizer(path);
+  ASSERT_FALSE(corrupt.ok());
+  EXPECT_EQ(corrupt.status().code(), StatusCode::kIOError);
   std::remove(path.c_str());
 }
 

@@ -2,9 +2,9 @@
 // subprocess over a small generated fixture. The tests pin the rules the
 // backend factory owns (flag conflicts are errors, search and serve-bench
 // serve the same deployment for the same flags, IVF probes the index's saved
-// nprobe by default), the --sweep-nprobe curve, train's single K rule, the
-// size and dimension rules between a base and its graph, queries and model,
-// and fvecs records of one dimension.
+// nprobe by default), the --sweep-nprobe curve (IVF only), train's single K
+// rule, the size and dimension rules between a base and its graph, queries
+// and model, and fvecs records of one dimension.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -174,6 +174,26 @@ TEST_F(ToolTest, SweepNprobeRowsMatchSearchAtEachNprobe) {
   ASSERT_EQ(rows[2].rfind("2,", 0), 0u) << rows[2];
   const std::string recall = rows[2].substr(2, rows[2].find(',', 2) - 2);
   EXPECT_EQ(recall, Recall(search.out)) << search.out;
+}
+
+// Only the IVF service takes an nprobe: a sweep over any other backend, or a
+// sweep CSV without a sweep, is a flag error, not a search that prints no
+// curve and writes no CSV.
+TEST_F(ToolTest, SweepFlagsOutsideAnIvfSweepAreFlagErrors) {
+  const std::string csv = Path("mem_sweep.csv");
+  const std::string model = " --model " + Path("model.rpqq");
+  for (const std::string& index : {"", " --index memory", " --index disk"}) {
+    const ToolRun r = Tool("search" + Data() + " --graph " + Path("g.bin") +
+                           model + index + " --sweep-nprobe 1,2 --sweep-csv " +
+                           csv);
+    EXPECT_EQ(r.status, 1) << index << "\n" << r.out << r.err;
+    EXPECT_NE(r.err.find("--index ivf"), std::string::npos) << r.err;
+  }
+  const ToolRun r = Tool("search" + Data() + model +
+                         " --index ivf --nlist 32 --sweep-csv " + csv);
+  EXPECT_EQ(r.status, 1) << r.out << r.err;
+  EXPECT_NE(r.err.find("needs --sweep-nprobe"), std::string::npos) << r.err;
+  EXPECT_FALSE(std::filesystem::exists(csv));
 }
 
 TEST_F(ToolTest, TrainRejectsKAboveWhatTheCodesHold) {

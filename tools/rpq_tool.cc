@@ -93,8 +93,9 @@
 // (--ivf) and served through IvfService, where a query's beam_width slot
 // carries its nprobe; --nprobe defaults to the index's own default (the
 // --nprobe it was built with). search --sweep-nprobe prints a recall/QPS
-// operating curve over the given comma-separated nprobe values, and
-// --sweep-csv also writes it as `nprobe,recall@10,us_per_query` rows.
+// operating curve over the given comma-separated nprobe values (an error
+// without --index ivf), and --sweep-csv (an error without --sweep-nprobe)
+// also writes it as `nprobe,recall@10,us_per_query` rows.
 // --index memory is the in-memory graph backend (alias: graph); --index disk
 // the hybrid one.
 //
@@ -900,6 +901,16 @@ int CmdBuildIvf(const Flags& flags) {
 }
 
 int CmdSearch(const Flags& flags) {
+  // Only the IVF service takes an nprobe; on any other backend the sweep
+  // would have nothing to vary.
+  if (flags.Has("sweep-nprobe") &&
+      std::strcmp(flags.Get("index", "memory"), "ivf") != 0) {
+    return Fail("--sweep-nprobe sweeps IVF nprobe; it needs --index ivf");
+  }
+  if (flags.Has("sweep-csv") && !flags.Has("sweep-nprobe")) {
+    return Fail("--sweep-csv writes the --sweep-nprobe curve; it needs "
+                "--sweep-nprobe");
+  }
   auto base = LoadBase(flags);
   if (!base.ok()) return Fail(base.status().ToString());
   auto queries = LoadQueriesFor(flags, base.value());
@@ -914,8 +925,7 @@ int CmdSearch(const Flags& flags) {
   auto gt = rpq::ComputeGroundTruth(base.value(), queries.value(), k);
 
   // --sweep-nprobe prints the IVF recall/QPS curve through the same service.
-  if (const char* sweep = flags.Get("sweep-nprobe");
-      sweep != nullptr && backend.ivf != nullptr) {
+  if (const char* sweep = flags.Get("sweep-nprobe")) {
     auto nprobes = ParseSizeList(sweep);
     if (nprobes.empty()) return Fail("--sweep-nprobe expects n1,n2,...");
     auto curve = rpq::eval::SweepBeamWidths(*backend.service, backend.spec,
