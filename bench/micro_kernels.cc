@@ -760,7 +760,6 @@ void BM_FlightRecorderObserve(benchmark::State& state) {
   obs::FlightRecorderOptions opt;
   opt.capacity = 256;
   opt.slow_us = mode == 2 ? 1 : 1000000000;  // admit-all vs admit-none
-  opt.admit_degraded = true;
   recorder.Configure(opt);
   recorder.SetEnabled(mode != 0);
   state.SetLabel(mode == 0 ? "disabled"

@@ -29,7 +29,6 @@ void FlightRecorder::Configure(const FlightRecorderOptions& options) {
   observed_.store(0, std::memory_order_relaxed);
   sample_clock_.store(0, std::memory_order_relaxed);
   slow_us_.store(options_.slow_us, std::memory_order_relaxed);
-  admit_degraded_.store(options_.admit_degraded, std::memory_order_relaxed);
   sample_every_.store(options_.sample_every, std::memory_order_relaxed);
   since_.Reset();
 }
@@ -44,7 +43,7 @@ void FlightRecorder::Observe(const QueryObservation& obs) {
   const uint64_t slow_us = slow_us_.load(std::memory_order_relaxed);
   const bool is_degraded = obs.degraded || obs.deadline_exceeded || obs.shed ||
                            obs.hedged || obs.shards_lost > 0;
-  if (admit_degraded_.load(std::memory_order_relaxed) && is_degraded) {
+  if (is_degraded) {
     reason = "degraded";
   } else if (slow_us > 0 && obs.latency_us >= slow_us) {
     reason = "slow";

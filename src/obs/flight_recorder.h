@@ -28,10 +28,9 @@ namespace rpq::obs {
 struct FlightRecorderOptions {
   size_t capacity = 256;      ///< ring slots (oldest evicted first)
   /// Admit when served latency >= this (microseconds); 0 disables the
-  /// latency criterion.
+  /// latency criterion. Every query that degraded (deadline hit, shed, shard
+  /// loss, hedge) is admitted regardless.
   uint64_t slow_us = 0;
-  /// Admit every query that degraded: deadline hit, shed, shard loss, hedge.
-  bool admit_degraded = true;
   /// Admit an unconditional 1-in-N sample of all queries (0 = off); gives
   /// /slow a healthy-baseline row to compare the outliers against.
   uint32_t sample_every = 0;
@@ -115,7 +114,6 @@ class FlightRecorder {
   // Policy fields mirrored into atomics so the unlocked admission check
   // reads a coherent policy without taking mu_.
   std::atomic<uint64_t> slow_us_{0};
-  std::atomic<bool> admit_degraded_{true};
   std::atomic<uint32_t> sample_every_{0};
   Timer since_;  ///< completion timestamps are relative to Configure()
 };

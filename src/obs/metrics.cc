@@ -260,20 +260,6 @@ void Record(HistogramId id, uint64_t value) {
   });
 }
 
-void MergeInto(HistogramId id, const HistogramData& data) {
-  if (!MetricsEnabled() || data.count == 0) return;
-  auto& h = LocalShard()->histograms[id];
-  HistWrite(h, [&] {
-    for (uint32_t b = 0; b < kNumBuckets; ++b) {
-      if (data.buckets[b] != 0) {
-        ShardAdd(h.buckets[b], data.buckets[b], std::memory_order_release);
-      }
-    }
-    ShardAdd(h.sum, data.sum, std::memory_order_release);
-    HistMax(h, data.max);
-  });
-}
-
 const CounterSnapshot* Snapshot::FindCounter(const std::string& name) const {
   for (const auto& c : counters) {
     if (c.name == name) return &c;

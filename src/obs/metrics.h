@@ -63,9 +63,9 @@ inline uint64_t BucketWidth(uint32_t i) {
 }
 
 /// Plain (single-threaded) histogram value type: what a snapshot hands back,
-/// and what call sites that keep thread-local tallies (the load generator)
-/// accumulate before merging into the registry. count/sum/max are exact;
-/// percentiles are bucket-resolution (see BucketWidth).
+/// and what call sites that keep thread-local tallies (the load generator's
+/// client side) accumulate. count/sum/max are exact; percentiles are
+/// bucket-resolution (see BucketWidth).
 struct HistogramData {
   std::array<uint64_t, kNumBuckets> buckets{};
   uint64_t count = 0;
@@ -112,9 +112,6 @@ HistogramId GetHistogram(const std::string& name);
 void Add(CounterId id, uint64_t delta);
 /// Records one histogram sample into this thread's shard. No-op when off.
 void Record(HistogramId id, uint64_t value);
-/// Folds a locally accumulated histogram into this thread's shard in one
-/// pass (the loadgen merges per-thread tallies this way). No-op when off.
-void MergeInto(HistogramId id, const HistogramData& data);
 
 /// One counter / histogram in a snapshot, in registration order.
 struct CounterSnapshot {

@@ -43,7 +43,10 @@ uint64_t QueryTrace::PipelineNanos() const {
   uint64_t ns = 0;
   for (size_t s = 0; s < kNumStages; ++s) {
     const Stage stage = static_cast<Stage>(s);
-    if (stage == Stage::kQueueWait || stage == Stage::kService) continue;
+    if (stage == Stage::kQueueWait || stage == Stage::kService ||
+        stage == Stage::kIo) {
+      continue;
+    }
     ns += totals_[s].nanos;
   }
   return ns;

@@ -30,7 +30,8 @@ enum class Stage : uint8_t {
   kLutBuild,    ///< ADC / FastScan lookup-table construction
   kRefine,      ///< refinement stage re-scoring (src/refine/)
   kMerge,       ///< top-k selection / shard merge
-  kQueueWait,   ///< submit-to-start delay (engine / batcher queues)
+  kQueueWait,   ///< taken-in to start, or to refusal when shed (engine /
+                ///< batcher queues)
   kService,     ///< whole backend Search call (service boundary)
   kIo,          ///< simulated device time (hybrid disk)
   kNumStages
@@ -68,8 +69,9 @@ class QueryTrace {
     return totals_[static_cast<size_t>(stage)];
   }
 
-  /// Sum over the pipeline stages (queue wait and the enclosing service span
-  /// excluded — they overlap the others rather than adding to them).
+  /// Wall-clock sum over the pipeline stages. Excluded: queue wait and the
+  /// enclosing service span, which overlap the others rather than adding to
+  /// them, and io, which is simulated device time, not wall time.
   uint64_t PipelineNanos() const;
 
   void Clear() { totals_ = {}; }

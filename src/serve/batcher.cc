@@ -1,8 +1,8 @@
 #include "serve/batcher.h"
 
-#include <memory>
 #include <utility>
 
+#include "common/timer.h"
 #include "obs/metrics.h"
 
 namespace rpq::serve {
@@ -38,9 +38,10 @@ MicroBatcher::~MicroBatcher() {
 }
 
 std::future<QueryResult> MicroBatcher::Submit(const QuerySpec& q) {
+  const uint64_t taken = TickNow();
   std::unique_lock<std::mutex> lk(mu_);
   if (pending_.empty()) batch_open_since_ = std::chrono::steady_clock::now();
-  pending_.push_back({q, std::promise<QueryResult>()});
+  pending_.push_back({q, std::promise<QueryResult>(), taken});
   ++submitted_;
   std::future<QueryResult> fut = pending_.back().promise.get_future();
   if (pending_.size() >= opt_.max_batch) {
@@ -67,24 +68,12 @@ size_t MicroBatcher::queries_submitted() const {
 }
 
 void MicroBatcher::DispatchLocked(std::unique_lock<std::mutex>&) {
-  auto batch = std::make_shared<std::vector<Pending>>(std::move(pending_));
-  pending_.clear();
   ++batches_;
   if (obs::MetricsEnabled()) {
     obs::Add(Metrics().batches, 1);
-    obs::Record(Metrics().occupancy, batch->size());
+    obs::Record(Metrics().occupancy, pending_.size());
   }
-  const SearchService& service = engine_.service();
-  engine_.Execute([batch, &service] {
-    std::vector<QuerySpec> specs;
-    specs.reserve(batch->size());
-    for (const Pending& p : *batch) specs.push_back(p.spec);
-    std::vector<QueryResult> results(batch->size());
-    service.SearchBatch(specs.data(), specs.size(), results.data());
-    for (size_t i = 0; i < batch->size(); ++i) {
-      (*batch)[i].promise.set_value(std::move(results[i]));
-    }
-  });
+  engine_.Dispatch(std::exchange(pending_, {}));
 }
 
 void MicroBatcher::TimerLoop() {

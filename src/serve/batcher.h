@@ -4,7 +4,10 @@
 // dispatch per batch instead of per query). A batch is dispatched as soon
 // as it reaches max_batch, when max_wait expires after its first query, or
 // on Flush(); under low load queries therefore pay at most max_wait of
-// added latency, under high load batches fill instantly.
+// added latency, under high load batches fill instantly. Each batch goes
+// through ServingEngine::Dispatch, the path Submit takes, so batched queries
+// are admission-controlled and counted like any other, and their queue wait
+// starts when the batcher took them.
 #pragma once
 
 #include <chrono>
@@ -24,7 +27,7 @@ struct BatcherOptions {
   std::chrono::microseconds max_wait{200};  ///< ...or this long after the 1st
 };
 
-/// Groups async queries into batches and runs them on the engine's workers.
+/// Groups async queries into batches and hands them to the engine.
 class MicroBatcher {
  public:
   MicroBatcher(const ServingEngine& engine, const BatcherOptions& options = {});
@@ -46,11 +49,6 @@ class MicroBatcher {
   size_t queries_submitted() const;
 
  private:
-  struct Pending {
-    QuerySpec spec;
-    std::promise<QueryResult> promise;
-  };
-
   void TimerLoop();
   void DispatchLocked(std::unique_lock<std::mutex>& lk);
 
@@ -59,7 +57,7 @@ class MicroBatcher {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<Pending> pending_;
+  std::vector<Request> pending_;
   std::chrono::steady_clock::time_point batch_open_since_;
   size_t batches_ = 0;
   size_t submitted_ = 0;

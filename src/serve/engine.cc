@@ -17,6 +17,8 @@ struct EngineMetrics {
   obs::CounterId completed = obs::GetCounter("serve.completed");
   obs::CounterId shed = obs::GetCounter("serve.shed");
   obs::CounterId brownout = obs::GetCounter("serve.brownout");
+  // End-to-end served latency, wall clock, pooled across the run.
+  obs::HistogramId latency = obs::GetHistogram("serve.latency_ns");
 };
 
 const EngineMetrics& Metrics() {
@@ -36,10 +38,15 @@ void RegisterServingMetrics() {
   fault::RegisterFaultMetrics();
 }
 
+// The floor a browned-out beam (nprobe) is halved to.
+constexpr size_t kBrownoutMinBeam = 8;
+
 }  // namespace
 
 void ObserveQuery(const QuerySpec& q, const QueryResult& r,
                   uint64_t latency_nanos) {
+  obs::Add(Metrics().completed, 1);
+  if (!r.shed) obs::Record(Metrics().latency, latency_nanos);
   obs::FlightRecorder& recorder = obs::GlobalFlightRecorder();
   if (!recorder.enabled()) return;
   obs::QueryObservation o;
@@ -92,78 +99,86 @@ std::vector<QueryResult> ServingEngine::SearchAll(
 }
 
 std::future<QueryResult> ServingEngine::Submit(const QuerySpec& q) const {
-  auto promise = std::make_shared<std::promise<QueryResult>>();
-  std::future<QueryResult> fut = promise->get_future();
-  const bool observed = q.trace != nullptr || obs::MetricsEnabled();
-  const bool recording = obs::GlobalFlightRecorder().enabled();
-  if (observed) obs::Add(Metrics().submitted, 1);
-
-  // Admission control: inspect the in-flight depth BEFORE enqueueing. A
-  // shed query never touches the pool — its future resolves right here with
-  // an empty degraded result, so overload cannot grow the queue unboundedly.
-  // The kAllocFailure injection point models allocation pressure as a forced
-  // shed (the refusal path a real allocator failure would take).
-  const size_t depth = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const bool forced_shed =
-      fault::GlobalFaultsEnabled() &&
-      fault::GlobalInjector().Fire(fault::Point::kAllocFailure);
-  if (forced_shed ||
-      (options_.shed_watermark > 0 && depth > options_.shed_watermark)) {
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    if (observed) {
-      obs::Add(Metrics().shed, 1);
-      obs::Add(Metrics().completed, 1);
-    }
-    QueryResult refused;
-    refused.shed = true;
-    refused.degraded = true;
-    // Shed queries are degradation by definition — the recorder admits them
-    // with zero served latency (nothing ran).
-    ObserveQuery(q, refused, 0);
-    promise->set_value(std::move(refused));
-    return fut;
-  }
-
-  QuerySpec admitted = q;
-  if (options_.brownout_watermark > 0 && depth > options_.brownout_watermark) {
-    // Brownout: admit, but cheaper — recall degrades before latency does.
-    const size_t scaled = static_cast<size_t>(
-        static_cast<double>(q.beam_width) * options_.brownout_beam_factor);
-    admitted.beam_width =
-        std::min(q.beam_width, std::max(options_.brownout_min_beam, scaled));
-    if (admitted.rerank > 1) admitted.rerank = std::max<size_t>(q.k, admitted.rerank / 2);
-    if (observed) obs::Add(Metrics().brownout, 1);
-  }
-
-  pool_.Submit([this, q = admitted, promise, observed, recording,
-                submit_ticks = (observed || recording) ? TickNow() : 0] {
-    if (observed) {
-      // Submit-to-start delay: the queueing component of tail latency, kept
-      // separate from the service span that follows.
-      obs::RecordSpan(obs::Stage::kQueueWait,
-                      TicksToNanos(TickNow() - submit_ticks), q.trace);
-    }
-    QueryResult result;
-    {
-      obs::ScopedStage span(obs::Stage::kService, q.trace);
-      result = service_.Search(q);
-    }
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
-    if (observed) obs::Add(Metrics().completed, 1);
-    // Recorded latency spans queue wait + service + simulated I/O — the
-    // latency the caller experienced, which is what makes a query "slow".
-    if (recording) {
-      ObserveQuery(q, result,
-                   TicksToNanos(TickNow() - submit_ticks) +
-                       static_cast<uint64_t>(result.simulated_io_seconds * 1e9));
-    }
-    promise->set_value(std::move(result));
-  });
+  std::vector<Request> one;
+  one.push_back({q, std::promise<QueryResult>(), TickNow()});
+  std::future<QueryResult> fut = one[0].promise.get_future();
+  Dispatch(std::move(one));
   return fut;
 }
 
-void ServingEngine::Execute(std::function<void()> fn) const {
-  pool_.Submit(std::move(fn));
+void ServingEngine::Dispatch(std::vector<Request> batch) const {
+  // Admission control: inspect the in-flight depth BEFORE enqueueing, one
+  // query at a time, so a batch of B counts as B queries. A shed query never
+  // touches the pool — its future resolves right here with an empty degraded
+  // result, so overload cannot grow the queue unboundedly. The
+  // kAllocFailure injection point models allocation pressure as a forced
+  // shed (the refusal path a real allocator failure would take).
+  auto admitted = std::make_shared<std::vector<Request>>();
+  admitted->reserve(batch.size());
+  for (Request& r : batch) {
+    obs::Add(Metrics().submitted, 1);
+    const size_t depth = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const bool forced_shed =
+        fault::GlobalFaultsEnabled() &&
+        fault::GlobalInjector().Fire(fault::Point::kAllocFailure);
+    if (forced_shed ||
+        (options_.shed_watermark > 0 && depth > options_.shed_watermark)) {
+      inflight_.fetch_sub(1, std::memory_order_relaxed);
+      obs::Add(Metrics().shed, 1);
+      // A refused query's queue wait (in the batcher, if one took it) ends
+      // at the refusal.
+      obs::RecordSpan(obs::Stage::kQueueWait,
+                      TicksToNanos(TickNow() - r.taken_ticks), r.spec.trace);
+      QueryResult refused;
+      refused.shed = true;
+      refused.degraded = true;
+      // Shed queries are degradation by definition — the recorder admits
+      // them with zero served latency (nothing ran).
+      ObserveQuery(r.spec, refused, 0);
+      r.promise.set_value(std::move(refused));
+      continue;
+    }
+    if (options_.brownout_watermark > 0 &&
+        depth > options_.brownout_watermark) {
+      // Brownout: admit, but cheaper — recall degrades before latency does.
+      QuerySpec& q = r.spec;
+      q.beam_width = std::min(q.beam_width,
+                              std::max(kBrownoutMinBeam, q.beam_width / 2));
+      if (q.rerank > 1) q.rerank = std::max<size_t>(q.k, q.rerank / 2);
+      obs::Add(Metrics().brownout, 1);
+    }
+    admitted->push_back(std::move(r));
+  }
+  if (admitted->empty()) return;
+  pool_.Submit([this, admitted] { Serve(*admitted); });
+}
+
+void ServingEngine::Serve(std::vector<Request>& batch) const {
+  // Taken-to-start delay (the batcher's wait included): the queueing
+  // component of tail latency, kept apart from the service span that
+  // follows.
+  const uint64_t start = TickNow();
+  std::vector<QuerySpec> specs;
+  specs.reserve(batch.size());
+  for (const Request& r : batch) {
+    obs::RecordSpan(obs::Stage::kQueueWait,
+                    TicksToNanos(start - r.taken_ticks), r.spec.trace);
+    specs.push_back(r.spec);
+  }
+  std::vector<QueryResult> results(batch.size());
+  {
+    // Backends put each uniform run's spans into the run's first query's
+    // trace; the batch's service span goes to its first query's trace.
+    obs::ScopedStage span(obs::Stage::kService, specs.front().trace);
+    service_.SearchBatch(specs.data(), specs.size(), results.data());
+  }
+  inflight_.fetch_sub(batch.size(), std::memory_order_relaxed);
+  const uint64_t done = TickNow();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ObserveQuery(specs[i], results[i],
+                 TicksToNanos(done - batch[i].taken_ticks));
+    batch[i].promise.set_value(std::move(results[i]));
+  }
 }
 
 }  // namespace rpq::serve

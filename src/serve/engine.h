@@ -1,13 +1,12 @@
 // ServingEngine: executes queries against one SearchService concurrently on
 // a fixed worker pool. Workers need no coordination at query time — backend
 // scratch is thread-local (see search_service.h), so the engine is pure
-// dispatch: a blocking parallel-replay API for offline evaluation and an
-// async submit API for the load generator and micro-batcher.
+// dispatch: a blocking parallel-replay API for offline evaluation and one
+// async path, Dispatch, that the load generator and the micro-batcher share.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <vector>
 
@@ -20,11 +19,13 @@ namespace rpq::serve {
 struct EngineOptions {
   /// Worker threads; 0 selects std::thread::hardware_concurrency().
   size_t threads = 0;
-  /// Overload admission control for the async Submit path, keyed on the
-  /// engine's in-flight query count (submitted, not yet completed). Two
-  /// watermarks, both 0 = disabled:
-  ///  * above `brownout_watermark`, queries are admitted DEGRADED — their
-  ///    beam/nprobe and rerank knobs shrink per the brownout fields below,
+  /// Overload admission control for the async path, keyed on the engine's
+  /// in-flight query count (dispatched, not yet completed). Two watermarks,
+  /// both 0 = disabled:
+  ///  * above `brownout_watermark`, queries are admitted DEGRADED: their
+  ///    beam_width (nprobe for IVF) is halved, floored at 8 but never raised
+  ///    above the query's own value (graph searches widen a beam below k to
+  ///    k themselves), and a nonzero rerank request is halved, floored at k,
   ///    trading recall for service rate while the queue drains;
   ///  * above `shed_watermark`, queries are refused outright: the future
   ///    resolves immediately with an empty result flagged shed+degraded.
@@ -32,17 +33,22 @@ struct EngineOptions {
   /// overloaded engine OOM or stall.
   size_t brownout_watermark = 0;
   size_t shed_watermark = 0;
-  /// Brownout policy: beam_width (nprobe for IVF) is scaled by this factor
-  /// and floored at brownout_min_beam, but never raised above the query's
-  /// own value (graph searches widen a beam below k to k themselves); a
-  /// nonzero rerank request is halved, floored at k.
-  double brownout_beam_factor = 0.5;
-  size_t brownout_min_beam = 8;
 };
 
-/// Feeds one completed query to the global flight recorder when it is
-/// enabled. `latency_nanos` is the latency the caller measured, simulated
-/// I/O included.
+/// One query handed to the async path: its knobs, the promise its answer
+/// resolves, and the TickNow() at which the engine or the micro-batcher took
+/// it in. Queue wait and served latency are measured from that stamp.
+struct Request {
+  QuerySpec spec;
+  std::promise<QueryResult> promise;
+  uint64_t taken_ticks = 0;
+};
+
+/// Records one completed query, once, on whichever path served it: counts
+/// `serve.completed`, adds the wall-clock `latency_nanos` to
+/// `serve.latency_ns` (shed queries excluded: nothing was served) and feeds
+/// the global flight recorder when it is enabled. `latency_nanos` is wall
+/// clock only: a disk backend's simulated device time stays in `r`.
 void ObserveQuery(const QuerySpec& q, const QueryResult& r,
                   uint64_t latency_nanos);
 
@@ -53,7 +59,6 @@ class ServingEngine {
                          const EngineOptions& options = {});
 
   size_t num_threads() const { return pool_.num_threads(); }
-  const SearchService& service() const { return service_; }
 
   /// Replays every row of `queries` concurrently with `spec`'s knobs (its
   /// `query` is replaced by each row); blocks until done. Results are in
@@ -64,20 +69,27 @@ class ServingEngine {
                                      const QuerySpec& spec) const;
   std::vector<QueryResult> SearchAll(const std::vector<QuerySpec>& specs) const;
 
-  /// Asynchronous single-query submission (open-loop serving).
+  /// Asynchronous single-query submission: Dispatch of a batch of one.
   std::future<QueryResult> Submit(const QuerySpec& q) const;
 
-  /// Runs an arbitrary closure on the worker pool; the micro-batcher
-  /// dispatches whole batches through this.
-  void Execute(std::function<void()> fn) const;
+  /// The async serving path. Admits each request in turn (shed and brownout
+  /// per EngineOptions, counted in serve.submitted / serve.shed /
+  /// serve.brownout; a shed request resolves here), then serves the admitted
+  /// ones on one worker with one SearchService::SearchBatch call. Records
+  /// one queue_wait span and one ObserveQuery per request, and one service
+  /// span per SearchBatch call.
+  void Dispatch(std::vector<Request> batch) const;
 
-  /// Blocks until every submitted task has completed (open-loop drains).
+  /// Blocks until every dispatched batch has completed (open-loop drains).
   void WaitIdle() const { pool_.Wait(); }
 
-  /// Queries submitted and not yet completed (admission-control input).
+  /// Queries dispatched and not yet completed (admission-control input).
   size_t inflight() const { return inflight_.load(std::memory_order_relaxed); }
 
  private:
+  /// Worker side of Dispatch.
+  void Serve(std::vector<Request>& batch) const;
+
   const SearchService& service_;
   EngineOptions options_;
   mutable std::atomic<size_t> inflight_{0};

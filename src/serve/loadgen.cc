@@ -24,44 +24,57 @@ double PercentileSorted(const std::vector<double>& sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-// End-to-end served latency, pooled across the whole run (ns).
-obs::HistogramId LatencyHistogram() {
-  static const obs::HistogramId id = obs::GetHistogram("serve.latency_ns");
-  return id;
+using Clock = std::chrono::steady_clock;
+
+uint64_t NanosSince(Clock::time_point t) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t)
+          .count());
 }
 
-inline uint64_t SecondsToNanos(double seconds) {
-  return seconds > 0 ? static_cast<uint64_t>(seconds * 1e9) : 0;
-}
-
-// Per-thread degradation tallies, summed into the report at the end.
-struct DegradeTally {
+// The client side of a load run: what its LoadReport summarizes. Each
+// closed-loop client thread keeps one and the open loop's collector keeps
+// one. None writes the registry; ObserveQuery does that once per query.
+struct ClientTally {
+  obs::HistogramData latency;  // wall-clock ns of served (not shed) queries
+  size_t hops = 0;
   size_t degraded = 0;
   size_t shed = 0;
   size_t deadline_exceeded = 0;
   size_t hedged = 0;
   size_t shards_lost = 0;
 
-  void Count(const QueryResult& r) {
+  void Count(const QueryResult& r, uint64_t latency_nanos) {
+    if (!r.shed) latency.Record(latency_nanos);
+    hops += r.stats.hops;
     if (r.degraded) ++degraded;
     if (r.shed) ++shed;
     if (r.deadline_exceeded) ++deadline_exceeded;
     if (r.hedged) ++hedged;
     shards_lost += r.shards_lost;
   }
-  void Merge(const DegradeTally& o) {
+  void Merge(const ClientTally& o) {
+    latency.Merge(o.latency);
+    hops += o.hops;
     degraded += o.degraded;
     shed += o.shed;
     deadline_exceeded += o.deadline_exceeded;
     hedged += o.hedged;
     shards_lost += o.shards_lost;
   }
-  void FillReport(LoadReport* r) const {
-    r->degraded = degraded;
-    r->shed = shed;
-    r->deadline_exceeded = deadline_exceeded;
-    r->hedged = hedged;
-    r->shards_lost = shards_lost;
+  LoadReport Report(size_t completed, double wall_seconds) const {
+    LoadReport r;
+    r.completed = completed;
+    r.wall_seconds = wall_seconds;
+    r.qps = wall_seconds > 0 ? completed / wall_seconds : 0;
+    r.latency = SummarizeHistogramNanos(latency);
+    r.mean_hops = static_cast<double>(hops) / completed;
+    r.degraded = degraded;
+    r.shed = shed;
+    r.deadline_exceeded = deadline_exceeded;
+    r.hedged = hedged;
+    r.shards_lost = shards_lost;
+    return r;
   }
 };
 
@@ -98,15 +111,11 @@ LoadReport RunClosedLoop(const SearchService& service, const Dataset& queries,
   const size_t total =
       options.total_queries > 0 ? options.total_queries : queries.size();
   const size_t threads = std::max<size_t>(1, options.threads);
-  const bool live_metrics = obs::MetricsEnabled();
 
   std::atomic<size_t> next{0};
   // Per-thread tallies: a fixed-size histogram each instead of every sample
   // — memory is constant no matter how long the loop runs.
-  std::vector<obs::HistogramData> latencies(threads);
-  std::vector<size_t> hops(threads, 0);
-  std::vector<double> io(threads, 0.0);
-  std::vector<DegradeTally> tallies(threads);
+  std::vector<ClientTally> tallies(threads);
 
   Timer wall;
   std::vector<std::thread> clients;
@@ -118,49 +127,23 @@ LoadReport RunClosedLoop(const SearchService& service, const Dataset& queries,
         if (i >= total) break;
         QuerySpec spec = options.spec;
         spec.query = queries[i % queries.size()];
-        Timer lat;
+        const Clock::time_point start = Clock::now();
         QueryResult r = service.Search(spec);
-        const uint64_t nanos =
-            SecondsToNanos(lat.ElapsedSeconds() + r.simulated_io_seconds);
-        latencies[t].Record(nanos);
-        // Live-record into the registry when metrics are on, so a scraper's
-        // window sees latency move DURING the run, not only after the final
-        // merge below. The closed loop calls the service directly, so it
-        // feeds the flight recorder itself.
-        if (live_metrics) obs::Record(LatencyHistogram(), nanos);
+        const uint64_t nanos = NanosSince(start);
+        // The closed loop calls the service without an engine, so it
+        // records each query itself — live, so a scraper's window sees the
+        // run move while it is running.
         ObserveQuery(spec, r, nanos);
-        hops[t] += r.stats.hops;
-        io[t] += r.simulated_io_seconds;
-        tallies[t].Count(r);
+        tallies[t].Count(r, nanos);
       }
     });
   }
   for (auto& c : clients) c.join();
+  const double wall_seconds = wall.ElapsedSeconds();
 
-  LoadReport report;
-  report.wall_seconds = wall.ElapsedSeconds();
-  report.completed = total;
-  obs::HistogramData all;
-  size_t total_hops = 0;
-  DegradeTally tally;
-  for (size_t t = 0; t < threads; ++t) {
-    all.Merge(latencies[t]);
-    total_hops += hops[t];
-    report.simulated_io_seconds += io[t];
-    tally.Merge(tallies[t]);
-  }
-  tally.FillReport(&report);
-  // Samples already went in live when metrics were on; merging again here
-  // would double-count them in the registry.
-  if (!live_metrics) obs::MergeInto(LatencyHistogram(), all);
-  // Simulated device time is not wall time; charge it as if the device were
-  // serving the threads in parallel, matching the eval harness convention.
-  const double effective =
-      report.wall_seconds + report.simulated_io_seconds / threads;
-  report.qps = effective > 0 ? total / effective : 0;
-  report.latency = SummarizeHistogramNanos(all);
-  report.mean_hops = static_cast<double>(total_hops) / total;
-  return report;
+  ClientTally all;
+  for (const ClientTally& t : tallies) all.Merge(t);
+  return all.Report(total, wall_seconds);
 }
 
 LoadReport RunOpenLoop(const ServingEngine& engine, const Dataset& queries,
@@ -169,30 +152,23 @@ LoadReport RunOpenLoop(const ServingEngine& engine, const Dataset& queries,
   RPQ_CHECK(options.arrival_qps > 0);
   const size_t total =
       options.total_queries > 0 ? options.total_queries : queries.size();
-  const bool live_metrics = obs::MetricsEnabled();
-  const bool batched = options.batch > 1;
 
   std::mt19937_64 rng(options.seed);
   std::exponential_distribution<double> exp_gap(options.arrival_qps);
 
   std::mutex mu;
-  obs::HistogramData lat_hist;
-  size_t total_hops = 0;
-  double total_io = 0;
-  DegradeTally tally;
+  ClientTally tally;  // only the collector thread touches it
 
-  using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
   double next_arrival = 0;  // seconds since start
 
-  // Both arrival modes feed one collector thread that retires futures in
-  // arrival order. For batched arrivals the FIFO .get() stamps completion
-  // times exactly (batches complete all-at-once in dispatch order); for
-  // per-query Submit, completions can reorder by up to the worker count, so
-  // a stamp can be late by at most one service time — an acceptable bound
-  // in exchange for routing through Submit, which is where admission
-  // control (shed/brownout) and the queue-wait metric live. Shed queries
-  // count in the tallies but not the latency summary (nothing was served).
+  // One collector thread retires futures in arrival order. Batches
+  // complete all-at-once in dispatch order, so for batched arrivals the
+  // FIFO .get() stamps completion times exactly; per-query completions can
+  // reorder by up to the worker count, so a stamp can be late by at most
+  // one service time. Both arrival modes reach the engine through
+  // ServingEngine::Dispatch, where admission control (shed/brownout), the
+  // queue-wait span and the registry's record of each query live.
   std::condition_variable cv;
   std::deque<std::pair<std::future<QueryResult>, Clock::time_point>> inflight;
   bool done = false;
@@ -208,29 +184,13 @@ LoadReport RunOpenLoop(const ServingEngine& engine, const Dataset& queries,
       inflight.pop_front();
       lk.unlock();
       QueryResult r = item.first.get();
-      // Only this thread touches the tallies (producer only queues).
-      tally.Count(r);
-      if (!r.shed) {
-        const double lat =
-            std::chrono::duration<double>(Clock::now() - item.second).count() +
-            r.simulated_io_seconds;
-        const uint64_t nanos = SecondsToNanos(lat);
-        lat_hist.Record(nanos);
-        if (live_metrics) obs::Record(LatencyHistogram(), nanos);
-        // Per-query submissions already fed the recorder inside
-        // ServingEngine::Submit; only the batched path (which dispatches
-        // via Execute, bypassing Submit) is observed here.
-        if (batched) ObserveQuery(options.spec, r, nanos);
-      }
-      total_hops += r.stats.hops;
-      total_io += r.simulated_io_seconds;
+      tally.Count(r, NanosSince(item.second));
     }
   });
 
   // Batched arrivals flow through a MicroBatcher so the engine serves them
   // via SearchBatch (amortized tables; occupancy recorded in
-  // serve.batch_occupancy); note the batcher dispatches through Execute, so
-  // admission control does not apply to batched runs.
+  // serve.batch_occupancy).
   std::unique_ptr<MicroBatcher> batcher;
   if (options.batch > 1) {
     batcher = std::make_unique<MicroBatcher>(
@@ -259,20 +219,10 @@ LoadReport RunOpenLoop(const ServingEngine& engine, const Dataset& queries,
   cv.notify_one();
   collector.join();
   engine.WaitIdle();
-  // Same double-count guard as the closed loop: live-recorded when on.
-  if (!live_metrics) obs::MergeInto(LatencyHistogram(), lat_hist);
 
-  LoadReport report;
-  report.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  report.completed = total;
+  LoadReport report = tally.Report(
+      total, std::chrono::duration<double>(Clock::now() - start).count());
   report.offered_qps = options.arrival_qps;
-  report.qps =
-      report.wall_seconds > 0 ? total / report.wall_seconds : 0;
-  report.mean_hops = static_cast<double>(total_hops) / total;
-  report.simulated_io_seconds = total_io;
-  report.latency = SummarizeHistogramNanos(lat_hist);
-  tally.FillReport(&report);
   return report;
 }
 

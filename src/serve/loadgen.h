@@ -7,6 +7,9 @@
 //    completions and run through a ServingEngine; measured latency
 //    includes queueing delay, so it shows what a target arrival rate
 //    actually costs — the honest way to report p99 under load.
+// Every latency and QPS here is wall clock. A disk backend's simulated
+// device time stays in its QueryResult (rpq_tool prints it on its own
+// `disk-io us/query` line); no report adds it in.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +51,9 @@ struct LoadgenOptions {
   size_t total_queries = 0;  ///< 0 = one pass over the query set
   double arrival_qps = 0;    ///< open loop: target arrival rate (required)
   /// Open loop: > 1 routes arrivals through a MicroBatcher of this max batch
-  /// size instead of per-query engine dispatch (occupancy shows up in the
-  /// serve.batch_occupancy metric). 0/1 = unbatched.
+  /// size, whose batches take the engine's admission path like single
+  /// submissions (occupancy shows up in the serve.batch_occupancy metric).
+  /// 0/1 = unbatched.
   size_t batch = 0;
   uint64_t seed = 42;
 };
@@ -61,7 +65,6 @@ struct LoadReport {
   double offered_qps = 0;      ///< open loop: the arrival rate requested
   LatencySummary latency;
   double mean_hops = 0;
-  double simulated_io_seconds = 0;  ///< summed across queries (hybrid disk)
   /// Degradation tallies (QueryResult flags, counted per query). `completed`
   /// counts every query INCLUDING shed ones — answered = completed - shed.
   /// Shed queries are excluded from the latency summary (nothing was served).
@@ -73,7 +76,9 @@ struct LoadReport {
 };
 
 /// Closed loop: `threads` clients issue queries round-robin from `queries`
-/// until `total_queries` completions. Per-query latency is service time.
+/// until `total_queries` completions. Per-query latency is service time;
+/// each query is recorded through ObserveQuery, as the engine records its
+/// own.
 LoadReport RunClosedLoop(const SearchService& service, const Dataset& queries,
                          const LoadgenOptions& options);
 

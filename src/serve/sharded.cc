@@ -90,7 +90,7 @@ ShardedService::~ShardedService() {
   // path blocks on its shards); those tasks dereference shard services the
   // surrounding deployment owns and destroys right after this service.
   if (!options_.parallel_shards) return;
-  ThreadPool* pool = options_.pool != nullptr ? options_.pool : SharedPool();
+  ThreadPool* pool = SharedPool();
   if (!pool->CurrentThreadIsWorker()) pool->Wait();
 }
 
@@ -227,7 +227,7 @@ QueryResult ShardedService::Search(const QuerySpec& q) const {
   const size_t n = shards_.size();
   std::vector<QueryResult> per(n);
   std::vector<uint8_t> present(n, 1);
-  ThreadPool* pool = options_.pool != nullptr ? options_.pool : SharedPool();
+  ThreadPool* pool = SharedPool();
   // Serial fan-out — also the forced fallback when the caller IS a worker of
   // the fan-out pool (e.g. query handlers submitted onto SharedPool, or a
   // sharded shard of a sharded tree sharing one pool): submit-and-wait from

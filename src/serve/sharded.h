@@ -33,19 +33,16 @@ struct Shard {
 
 /// Shard fan-out knobs.
 struct ShardedOptions {
-  /// Search the shards of ONE query concurrently on `pool` instead of
-  /// sequentially on the calling thread (serving-v2 latency lever: worker
-  /// parallelism is across queries, this adds parallelism within one).
-  /// Results are merged in shard order after all shards finish, so the
-  /// deterministic (dist, global id) merge — and its bit-equality to the
-  /// serial fan-out — is preserved.
+  /// Search the shards of ONE query concurrently on the process-wide
+  /// SharedPool() instead of sequentially on the calling thread (serving-v2
+  /// latency lever: worker parallelism is across queries, this adds
+  /// parallelism within one). Results are merged in shard order after all
+  /// shards finish, so the deterministic (dist, global id) merge — and its
+  /// bit-equality to the serial fan-out — is preserved. Calls arriving ON a
+  /// SharedPool() worker (query handlers submitted to it, a nested sharded
+  /// tree) detect that and fall back to the serial fan-out instead of
+  /// deadlocking.
   bool parallel_shards = false;
-  /// Pool for the fan-out; nullptr = the process-wide SharedPool(). Calls
-  /// arriving ON a worker of this pool (query handlers submitted to it, a
-  /// nested sharded tree sharing it) detect that and fall back to the
-  /// serial fan-out instead of deadlocking; give nested levels distinct
-  /// pools if they should actually parallelize.
-  ThreadPool* pool = nullptr;
   /// Per-query cap on how long the parallel fan-out waits for its shards,
   /// measured from fan-out start (0 = wait for every shard). Shards that
   /// miss the cap are abandoned: the query returns a partial merge with

@@ -415,7 +415,7 @@ TEST_F(ServingFaultTest, BrownoutShrinksAdmittedQueries) {
   spec.rerank = 100;
   auto f1 = engine.Submit(spec);
   auto f2 = engine.Submit(spec);
-  // Brownout never raises a knob: a beam already below brownout_min_beam
+  // Brownout never raises a knob: a beam already at the brownout floor of 8
   // (and below k; graph searches widen it to k themselves) stays as asked.
   auto f3 = engine.Submit({queries_[1], 10, 8});
   f1.get();

@@ -20,6 +20,7 @@
 #include "graph/fresh_vamana.h"
 #include "graph/vamana.h"
 #include "ivf/ivf_index.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/window.h"
 #include "quant/pq.h"
@@ -318,8 +319,19 @@ TEST(LoadgenTest, ClosedLoopCompletesAndAccounts) {
   opt.spec.beam_width = 32;
   opt.threads = 3;
   opt.total_queries = 200;
+  // The closed loop calls the service without an engine and records each
+  // query in the registry itself, once.
+  obs::SetMetricsEnabled(true);
+  const obs::Snapshot before = obs::TakeSnapshot();
   LoadReport rep = RunClosedLoop(service, f.queries, opt);
+  const obs::WindowedView view =
+      obs::DiffSnapshots(before, obs::TakeSnapshot(), 1.0);
+  obs::SetMetricsEnabled(false);
   EXPECT_EQ(rep.completed, 200u);
+  EXPECT_EQ(view.Delta("serve.completed"), 200u);
+  const obs::WindowedHistogram* lat = view.FindHistogram("serve.latency_ns");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->interval.count, 200u);
   EXPECT_GT(rep.qps, 0.0);
   EXPECT_GT(rep.latency.p50_ms, 0.0);
   EXPECT_LE(rep.latency.p50_ms, rep.latency.p99_ms);
@@ -338,6 +350,78 @@ TEST(LoadgenTest, OpenLoopCompletesAtOfferedRate) {
   EXPECT_EQ(rep.completed, 60u);
   EXPECT_DOUBLE_EQ(rep.offered_qps, 3000.0);
   EXPECT_GT(rep.latency.p50_ms, 0.0);
+}
+
+// Batched arrivals take the engine's admission path: over a slow service
+// with shed_watermark = 1 the batched open loop sheds, as Submit does
+// (ServingFaultTest.ShedWatermarkRefusesExcessLoad), and the engine counts
+// every query and records its queue wait.
+TEST(LoadgenTest, BatchedOpenLoopIsAdmissionControlled) {
+  Dataset base, queries;
+  synthetic::MakeBaseAndQueries("sift", 100, 8, /*seed=*/5, &base, &queries);
+  FunctionService slow([](const QuerySpec& q) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    QueryResult r;
+    r.results.resize(q.k);
+    return r;
+  });
+  EngineOptions eopt;
+  eopt.threads = 1;
+  eopt.shed_watermark = 1;
+  ServingEngine engine(slow, eopt);
+  LoadgenOptions opt;
+  opt.total_queries = 8;
+  opt.arrival_qps = 100000;
+  opt.batch = 4;
+  obs::SetMetricsEnabled(true);
+  const obs::Snapshot before = obs::TakeSnapshot();
+  LoadReport rep = RunOpenLoop(engine, queries, opt);
+  const obs::WindowedView view =
+      obs::DiffSnapshots(before, obs::TakeSnapshot(), 1.0);
+  obs::SetMetricsEnabled(false);
+  // The first query dispatched is admitted; every later one is dispatched
+  // while it still runs (100ms vs microsecond arrivals) and must shed.
+  EXPECT_EQ(rep.completed, 8u);
+  EXPECT_EQ(rep.shed, 7u);
+  EXPECT_EQ(view.Delta("serve.submitted"), 8u);
+  EXPECT_EQ(view.Delta("serve.shed"), 7u);
+  EXPECT_EQ(view.Delta("serve.completed"), 8u);
+  const obs::WindowedHistogram* waits =
+      view.FindHistogram("stage.queue_wait_ns");
+  ASSERT_NE(waits, nullptr);
+  EXPECT_EQ(waits->interval.count, 8u);
+}
+
+// Simulated device time stays in the result: both loops report wall-clock
+// latency and QPS, and the flight recorder sees wall-clock latency.
+TEST(LoadgenTest, SimulatedIoStaysOutOfLatencyAndQps) {
+  Dataset base, queries;
+  synthetic::MakeBaseAndQueries("sift", 100, 8, /*seed=*/5, &base, &queries);
+  FunctionService disk_like([](const QuerySpec&) {
+    QueryResult r;
+    r.simulated_io_seconds = 1.0;
+    return r;
+  });
+  ServingEngine engine(disk_like, {2});
+  obs::FlightRecorder& recorder = obs::GlobalFlightRecorder();
+  obs::FlightRecorderOptions fopt;
+  fopt.slow_us = 500000;
+  recorder.Configure(fopt);
+  recorder.SetEnabled(true);
+  LoadgenOptions opt;
+  opt.threads = 2;
+  opt.total_queries = 20;
+  opt.arrival_qps = 5000;
+  for (const LoadReport& rep : {RunClosedLoop(disk_like, queries, opt),
+                                RunOpenLoop(engine, queries, opt)}) {
+    EXPECT_EQ(rep.completed, 20u);
+    EXPECT_LT(rep.latency.mean_ms, 100.0);
+    EXPECT_DOUBLE_EQ(rep.qps, rep.completed / rep.wall_seconds);
+  }
+  recorder.SetEnabled(false);
+  EXPECT_EQ(recorder.observed(), 40u);
+  EXPECT_EQ(recorder.recorded(), 0u);  // no query read as slow
+  recorder.Configure({});
 }
 
 // Every loadgen path delivers the spec template's knobs to the service

@@ -57,9 +57,10 @@
 // metrics registry for the run and writes the obs::DumpJson() snapshot —
 // per-stage latency histograms, backend counters, batcher occupancy — to the
 // given path; --batch N routes the open-loop leg through a MicroBatcher of
-// that size. metrics-validate parses such a snapshot with the in-repo JSON
-// reader, checks the schema, and fails if any --require'd metric is absent
-// (the CI smoke leg runs it against the serve-bench artifact);
+// that size, whose batches take the engine's admission path.
+// metrics-validate parses such a snapshot with the in-repo JSON reader,
+// checks the schema, and fails if any --require'd metric is absent (the CI
+// smoke leg runs it against the serve-bench artifact);
 // --diff older.json additionally prints the windowed delta between two
 // snapshots (counter rates over --interval-secs, interval percentiles from
 // histogram bucket deltas).
@@ -130,7 +131,12 @@
 // serve-bench drives the concurrent serving subsystem (src/serve/): a
 // closed-loop load test with --threads clients (and, when --rate is given,
 // an open-loop run at that arrival QPS), reporting QPS and p50/p95/p99
-// latency. --shards S > 1 builds an S-shard in-memory deployment (per-shard
+// latency, all wall clock: the disk backend's simulated device time is
+// never added in and is printed on the `disk-io us/query` line, as search
+// prints it. Every open-loop query, batched (--batch N) or not, passes the
+// engine's admission control (--shed / --brownout), and every served query
+// of either loop counts once in serve.completed and serve.latency_ns.
+// --shards S > 1 builds an S-shard in-memory deployment (per-shard
 // Vamana graphs; --graph is then unused). It serves plain ADC memory shards
 // only: any other --index, --mode, or rerank flag is an error there.
 //
