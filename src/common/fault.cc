@@ -1,5 +1,6 @@
 #include "common/fault.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -86,20 +87,27 @@ bool ParsePlan(const std::string& spec, Plan* plan, std::string* error) {
     }
     const std::string name = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
+    if (name == "seed") {
+      // A decimal integer in [0, 2^64), every digit kept: no sign, no
+      // fraction, no rounding through a double.
+      const char* end = value.data() + value.size();
+      const auto parsed = std::from_chars(value.data(), end, out.seed);
+      if (parsed.ec != std::errc() || parsed.ptr != end) {
+        if (error != nullptr) *error = "bad seed in \"" + item + "\"";
+        return false;
+      }
+      continue;
+    }
     char* parse_end = nullptr;
     const double v = std::strtod(value.c_str(), &parse_end);
     if (parse_end == value.c_str() || *parse_end != '\0') {
       if (error != nullptr) *error = "bad value in \"" + item + "\"";
       return false;
     }
-    if (name == "seed") {
-      out.seed = static_cast<uint64_t>(v);
-      continue;
-    }
     bool matched = false;
     for (size_t i = 0; i < kNumPoints; ++i) {
       if (name == PointName(static_cast<Point>(i))) {
-        if (v < 0.0 || v > 1.0) {
+        if (!(v >= 0.0 && v <= 1.0)) {  // also rejects NaN
           if (error != nullptr) *error = "rate out of [0,1] in \"" + item + "\"";
           return false;
         }

@@ -58,7 +58,9 @@ struct Plan {
 };
 
 /// Parses "point=rate[,point=rate...][,seed=N]" (the RPQ_FAULTS syntax).
-/// Returns false and fills `error` on unknown points or malformed rates.
+/// Returns false and fills `error` on unknown points, malformed rates or
+/// rates outside [0, 1] (NaN included), and on a seed that is not a decimal
+/// integer in [0, 2^64).
 bool ParsePlan(const std::string& spec, Plan* plan, std::string* error);
 
 /// Deterministic decision engine over one Plan. Thread-safe: the per-point

@@ -9,9 +9,8 @@ namespace rpq::disk {
 AsyncIoContext::AsyncIoContext(const SsdSimulator& ssd, size_t queue_depth)
     : ssd_(ssd), queue_depth_(std::max<size_t>(1, queue_depth)) {}
 
-void AsyncIoContext::SubmitRead(uint32_t block, uint8_t* buf,
-                                uint64_t user_data) {
-  sq_.push_back(Sqe{block, buf, user_data});
+void AsyncIoContext::SubmitRead(uint32_t block, uint64_t user_data) {
+  sq_.push_back(Sqe{block, user_data});
 }
 
 size_t AsyncIoContext::PollCompletions(std::vector<IoCompletion>* out,
@@ -27,16 +26,16 @@ size_t AsyncIoContext::PollCompletions(std::vector<IoCompletion>* out,
   double worst = 0.0;
   for (const Sqe& sqe : sq_) {
     IoStats one;
-    Status s = ssd_.ReadBlock(sqe.block, sqe.buf, ssd_.block_bytes(), &one);
+    Result<const uint8_t*> read = ssd_.ReadBlock(sqe.block, &one);
     stats->reads += one.reads;
     stats->bytes += one.bytes;
     stats->io_errors += one.io_errors;
     stats->latency_spikes += one.latency_spikes;
     total += one.simulated_seconds;
     worst = std::max(worst, one.simulated_seconds);
-    out->push_back(
-        IoCompletion{sqe.block, sqe.user_data, std::move(s),
-                     one.simulated_seconds});
+    out->push_back(IoCompletion{sqe.block, sqe.user_data,
+                                read.ok() ? read.value() : nullptr,
+                                read.status()});
   }
   sq_.clear();
 
@@ -56,28 +55,25 @@ size_t AsyncIoContext::PollCompletions(std::vector<IoCompletion>* out,
   return depth;
 }
 
-bool PrefetchCache::Take(uint32_t block, std::vector<uint8_t>* out) {
+const uint8_t* PrefetchCache::Take(uint32_t block) {
   auto it = blocks_.find(block);
-  if (it == blocks_.end()) return false;
-  *out = std::move(it->second);
+  if (it == blocks_.end()) return nullptr;
+  const uint8_t* data = it->second;
   blocks_.erase(it);
   auto pos = std::find(order_.begin(), order_.end(), block);
   if (pos != order_.end()) order_.erase(pos);
-  return true;
+  return data;
 }
 
-void PrefetchCache::Insert(uint32_t block, std::vector<uint8_t> buf) {
-  if (capacity_ == 0) return;
-  auto it = blocks_.find(block);
-  if (it != blocks_.end()) {
-    it->second = std::move(buf);
-    return;
-  }
+void PrefetchCache::Insert(uint32_t block, const uint8_t* data) {
+  // A cached block's bytes never change, so a repeat insert has nothing to
+  // refresh.
+  if (capacity_ == 0 || Contains(block)) return;
   while (blocks_.size() >= capacity_ && !order_.empty()) {
     blocks_.erase(order_.front());
     order_.pop_front();
   }
-  blocks_.emplace(block, std::move(buf));
+  blocks_.emplace(block, data);
   order_.push_back(block);
 }
 

@@ -17,6 +17,9 @@
 // synchronous path. Per-read faults (transient errors, latency spikes) keep
 // firing per completion — an error surfaces in that completion's Status, a
 // spike stretches that read's cost and hence possibly the whole wave.
+//
+// A read takes no buffer: its completion hands out the device's own block
+// (SsdSimulator::ReadBlock), so the caller keeps a pointer, not a copy.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +36,10 @@ namespace rpq::disk {
 struct IoCompletion {
   uint32_t block = 0;      ///< block id that was read
   uint64_t user_data = 0;  ///< opaque tag passed to SubmitRead
+  /// The block's bytes on the device (valid for the device's lifetime);
+  /// null when the read failed.
+  const uint8_t* data = nullptr;
   Status status;           ///< IOError on an injected transient failure
-  double device_seconds = 0;  ///< this read's own (un-overlapped) cost
 };
 
 /// Submission/completion context bound to one device and one query.
@@ -46,9 +51,8 @@ class AsyncIoContext {
   /// (clamped to >= 1). Submission is unbounded — depth only shapes cost.
   AsyncIoContext(const SsdSimulator& ssd, size_t queue_depth);
 
-  /// Enqueues a read of `block` into `buf` (which must hold block_bytes()
-  /// and stay alive until the next PollCompletions).
-  void SubmitRead(uint32_t block, uint8_t* buf, uint64_t user_data);
+  /// Enqueues a read of `block`; its completion carries the block's bytes.
+  void SubmitRead(uint32_t block, uint64_t user_data);
 
   /// Performs every pending read, appends one IoCompletion per submission
   /// (in submission order) to `out` after clearing it, and folds the
@@ -58,12 +62,10 @@ class AsyncIoContext {
   size_t PollCompletions(std::vector<IoCompletion>* out, IoStats* stats);
 
   size_t pending() const { return sq_.size(); }
-  size_t queue_depth() const { return queue_depth_; }
 
  private:
   struct Sqe {
     uint32_t block;
-    uint8_t* buf;
     uint64_t user_data;
   };
 
@@ -76,7 +78,8 @@ class AsyncIoContext {
 /// reads for next-best unexpanded beam candidates alongside each demand
 /// wave; when the beam later expands one of them the block is already
 /// resident and the expansion costs zero device time. A wrong guess is
-/// evicted (and counted as wasted), never fatal.
+/// evicted (and counted as wasted), never fatal. Entries are the blocks'
+/// pointers from their completions, never copies.
 class PrefetchCache {
  public:
   explicit PrefetchCache(size_t capacity) : capacity_(capacity) {}
@@ -85,19 +88,15 @@ class PrefetchCache {
     return blocks_.find(block) != blocks_.end();
   }
 
-  /// Removes `block` from the cache, moving its bytes into `out`.
-  /// Returns false (and leaves `out` alone) on a miss.
-  bool Take(uint32_t block, std::vector<uint8_t>* out);
+  /// Removes `block` from the cache and returns its bytes; null on a miss.
+  const uint8_t* Take(uint32_t block);
 
   /// Inserts a fetched block, evicting the oldest entry when full.
-  void Insert(uint32_t block, std::vector<uint8_t> buf);
-
-  size_t size() const { return blocks_.size(); }
-  size_t capacity() const { return capacity_; }
+  void Insert(uint32_t block, const uint8_t* data);
 
  private:
   size_t capacity_;
-  std::unordered_map<uint32_t, std::vector<uint8_t>> blocks_;
+  std::unordered_map<uint32_t, const uint8_t*> blocks_;
   std::deque<uint32_t> order_;  // FIFO eviction order
 };
 

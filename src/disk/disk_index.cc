@@ -17,27 +17,24 @@ size_t BlockPayloadBytes(size_t dim, size_t degree) {
   return dim * sizeof(float) + sizeof(uint32_t) + degree * sizeof(uint32_t);
 }
 
-// One slot of the in-flight demand wave.
+// Transient read failures are retried up to this many times before the hop
+// is abandoned (the node is skipped and traversal continues through the rest
+// of the beam: a lost block degrades recall, never correctness).
+constexpr size_t kMaxReadRetries = 3;
+// Simulated backoff charged per retry, on top of the failed attempt's device
+// time (both land in the io stage).
+constexpr double kRetryBackoffSeconds = 50e-6;
+
+// One slot of the in-flight demand wave: the vertex and its block on the
+// device, null until a read of it succeeds.
 struct WaveSlot {
-  enum State : uint8_t { kPending, kReady, kFailed };
   uint32_t id = 0;
-  State state = kPending;
-  std::vector<uint8_t> buf;
+  const uint8_t* data = nullptr;
 };
 
 // Completion tags: demand reads carry their wave-slot index; speculative
 // readahead reads are tagged with kSpecTag so the two never collide.
 constexpr uint64_t kSpecTag = uint64_t{1} << 32;
-
-std::vector<uint8_t> TakeBuffer(std::vector<std::vector<uint8_t>>* spare,
-                                size_t bytes) {
-  if (!spare->empty()) {
-    std::vector<uint8_t> b = std::move(spare->back());
-    spare->pop_back();
-    return b;
-  }
-  return std::vector<uint8_t>(bytes);
-}
 
 }  // namespace
 
@@ -58,8 +55,9 @@ std::unique_ptr<DiskIndex> DiskIndex::Build(
 
   index->ssd_ = std::make_unique<SsdSimulator>(
       base.size(), BlockPayloadBytes(base.dim(), max_degree), options.ssd);
-  index->max_read_retries_ = options.max_read_retries;
-  index->retry_backoff_seconds_ = options.retry_backoff_seconds;
+  // Search reads each block in place as floats and uint32 ids, so every
+  // block must start on a 4-byte boundary of the device arena.
+  RPQ_CHECK_EQ(index->ssd_->block_bytes() % alignof(float), 0u);
   index->io_width_ = std::max<size_t>(1, options.io_width);
   index->readahead_ = options.readahead;
 
@@ -166,14 +164,12 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
   // loop only terminates once the whole beam is expanded, so a cached block
   // that survives in the beam is a guaranteed (eventual) hit — evicting
   // early would convert those hits into wasted reads. Bound by the beam
-  // width (plus slack for churn); per-query memory is ~beam_width blocks.
+  // width (plus slack for churn).
   PrefetchCache cache(
       readahead_ > 0 ? beam_width + 4 * readahead_ : 0);
   std::vector<WaveSlot> wave;
   wave.reserve(io_width_);
   std::vector<IoCompletion> completions;
-  std::vector<std::vector<uint8_t>> spare;  // recycled block buffers
-  std::unordered_map<uint32_t, std::vector<uint8_t>> spec_inflight;
 
   {
   obs::ScopedStage span(obs::Stage::kBeam, trace);
@@ -196,9 +192,7 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
       const size_t next = beam.NextUnexpanded();
       if (next == graph::detail::FlatBeam::kNone) break;
       beam.MarkExpanded(next);
-      WaveSlot slot;
-      slot.id = beam.entries()[next].id;
-      wave.push_back(std::move(slot));
+      wave.push_back(WaveSlot{beam.entries()[next].id, nullptr});
       ++out.stats.hops;
     }
 
@@ -206,30 +200,26 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
     // costs no device time.
     for (size_t i = 0; i < wave.size(); ++i) {
       WaveSlot& s = wave[i];
-      if (readahead_ > 0 && cache.Take(s.id, &s.buf)) {
-        s.state = WaveSlot::kReady;
+      if (readahead_ > 0) s.data = cache.Take(s.id);
+      if (s.data != nullptr) {
         ++out.io.prefetch_hits;
         continue;
       }
-      s.buf = TakeBuffer(&spare, ssd_->block_bytes());
-      aio.SubmitRead(s.id, s.buf.data(), static_cast<uint64_t>(i));
+      aio.SubmitRead(s.id, static_cast<uint64_t>(i));
     }
 
     // Beam-guided readahead: speculate on the next-best unexpanded
     // candidates (the beam's estimate order IS the prediction) while the
     // demand wave is in flight. Failed speculative reads are dropped, not
     // retried — the block simply falls back to a demand read if expanded.
+    // Every read submitted in a wave is polled in that wave, so a candidate
+    // is either cached or not yet read.
     if (readahead_ > 0) {
       size_t speculated = 0;
       for (const auto& e : beam.entries()) {
         if (speculated >= readahead_) break;
-        if (e.expanded != 0) continue;
-        if (cache.Contains(e.id) ||
-            spec_inflight.find(e.id) != spec_inflight.end()) {
-          continue;
-        }
-        spec_inflight.emplace(e.id, TakeBuffer(&spare, ssd_->block_bytes()));
-        aio.SubmitRead(e.id, spec_inflight[e.id].data(), kSpecTag | e.id);
+        if (e.expanded != 0 || cache.Contains(e.id)) continue;
+        aio.SubmitRead(e.id, kSpecTag);
         ++out.io.prefetch_issued;
         ++speculated;
       }
@@ -239,39 +229,30 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
       // One overlapped wave: demand + speculative reads complete together,
       // charging max(slowest, serial/queue_depth) of simulated time.
       aio.PollCompletions(&completions, &out.io);
-      for (IoCompletion& c : completions) {
+      for (const IoCompletion& c : completions) {
         if (c.user_data & kSpecTag) {
-          auto it = spec_inflight.find(c.block);
-          if (c.status.ok()) {
-            cache.Insert(c.block, std::move(it->second));
-          } else {
-            spare.push_back(std::move(it->second));
-          }
-          spec_inflight.erase(it);
+          if (c.data != nullptr) cache.Insert(c.block, c.data);
           continue;
         }
-        WaveSlot& s = wave[c.user_data];
-        s.state = c.status.ok() ? WaveSlot::kReady : WaveSlot::kFailed;
+        wave[c.user_data].data = c.data;
       }
 
       // Bounded retry of failed DEMAND reads (PR 8 semantics): each round
-      // charges `retry_backoff_seconds` per block before re-issuing, and the
+      // charges kRetryBackoffSeconds per block before re-issuing, and the
       // retry wave overlaps on the device like any other.
-      for (size_t round = 0; round < max_read_retries_; ++round) {
+      for (size_t round = 0; round < kMaxReadRetries; ++round) {
         bool any = false;
         for (size_t i = 0; i < wave.size(); ++i) {
-          if (wave[i].state != WaveSlot::kFailed) continue;
+          if (wave[i].data != nullptr) continue;
           ++out.io.retries;
-          out.io.simulated_seconds += retry_backoff_seconds_;
-          aio.SubmitRead(wave[i].id, wave[i].buf.data(),
-                         static_cast<uint64_t>(i));
+          out.io.simulated_seconds += kRetryBackoffSeconds;
+          aio.SubmitRead(wave[i].id, static_cast<uint64_t>(i));
           any = true;
         }
         if (!any) break;
         aio.PollCompletions(&completions, &out.io);
-        for (IoCompletion& c : completions) {
-          WaveSlot& s = wave[c.user_data];
-          s.state = c.status.ok() ? WaveSlot::kReady : WaveSlot::kFailed;
+        for (const IoCompletion& c : completions) {
+          wave[c.user_data].data = c.data;
         }
       }
     }
@@ -279,18 +260,17 @@ DiskSearchResult DiskIndex::Search(const float* query, size_t k,
     // Score fetched nodes in wave (estimate, id) order — identical to the
     // sequential expansion order. A block that stayed unreadable through all
     // retries is skipped (degraded recall, never a crash).
-    for (WaveSlot& s : wave) {
-      if (s.state == WaveSlot::kReady) {
-        process_block(s.id, s.buf.data());
+    for (const WaveSlot& s : wave) {
+      if (s.data != nullptr) {
+        process_block(s.id, s.data);
       } else {
         out.degraded = true;
       }
-      spare.push_back(std::move(s.buf));
     }
   }
   }
-  // Speculated blocks never consumed by an expansion (still cached or still
-  // accounted in-flight) were wasted reads.
+  // Speculated blocks no expansion consumed (failed, evicted, or still
+  // cached when the beam finished) were wasted reads.
   out.io.prefetch_wasted = out.io.prefetch_issued - out.io.prefetch_hits;
 
   {

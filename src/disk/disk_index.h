@@ -29,13 +29,6 @@ struct DiskIndexOptions {
   /// still exact-reranked from the fetched full-precision vectors, so this
   /// changes hops, not the ranking rule of what is returned.
   bool fastscan = true;
-  /// Transient read failures are retried up to this many times before the
-  /// hop is abandoned (the node is skipped, traversal continues through the
-  /// rest of the beam — a lost block degrades recall, never correctness).
-  size_t max_read_retries = 3;
-  /// Simulated backoff charged per retry, on top of the failed attempt's
-  /// device time (both land in the io stage).
-  double retry_backoff_seconds = 50e-6;
   /// Async wave width: up to this many best unexpanded beam entries are
   /// drained per iteration and their block reads submitted together through
   /// AsyncIoContext, overlapping on the device up to `ssd.queue_depth`.
@@ -101,8 +94,6 @@ class DiskIndex {
   DiskIndex(const quant::VectorQuantizer& quantizer) : quantizer_(quantizer) {}
 
   const quant::VectorQuantizer& quantizer_;
-  size_t max_read_retries_ = 3;
-  double retry_backoff_seconds_ = 50e-6;
   size_t io_width_ = 1;
   size_t readahead_ = 0;
   std::unique_ptr<SsdSimulator> ssd_;

@@ -41,9 +41,9 @@ void SsdSimulator::WriteBlock(size_t block_id, const void* data, size_t size) {
   std::memcpy(arena_.data() + block_id * block_bytes_, data, size);
 }
 
-Status SsdSimulator::ReadBlock(size_t block_id, void* out, size_t size,
-                               IoStats* stats) const {
-  if (block_id >= num_blocks_ || size > block_bytes_) {
+Result<const uint8_t*> SsdSimulator::ReadBlock(size_t block_id,
+                                               IoStats* stats) const {
+  if (block_id >= num_blocks_) {
     return Status::InvalidArgument("ReadBlock out of range");
   }
   double cost = opt_.read_latency_seconds +
@@ -63,13 +63,12 @@ Status SsdSimulator::ReadBlock(size_t block_id, void* out, size_t size,
                              std::to_string(block_id));
     }
   }
-  std::memcpy(out, arena_.data() + block_id * block_bytes_, size);
   if (stats != nullptr) {
     ++stats->reads;
     stats->bytes += block_bytes_;
     stats->simulated_seconds += cost;
   }
-  return Status::OK();
+  return arena_.data() + block_id * block_bytes_;
 }
 
 }  // namespace rpq::disk

@@ -9,6 +9,11 @@
 // reported by the benches therefore reproduce the structural trade-off
 // (reads x latency) that drives Figure 5. See DESIGN.md §3.
 //
+// A read hands out the device's own block: the arena is written only while
+// the index is built, so ReadBlock charges the read and returns a pointer
+// into the arena instead of copying the block out. The cost is paid once,
+// in simulated time.
+//
 // Fault model: real NVMe devices exhibit transient read failures (media
 // errors that succeed on retry) and tail-latency spikes (GC pauses, write
 // stalls). Both are reproduced here behind seeded knobs —
@@ -73,12 +78,13 @@ class SsdSimulator {
   /// Writes a full block (construction time, not counted as query I/O).
   void WriteBlock(size_t block_id, const void* data, size_t size);
 
-  /// Reads a full block, charging latency and bandwidth to `stats`. Returns
-  /// IOError on an injected transient failure — the failed attempt's latency
-  /// is still charged (the device was busy), and `stats->io_errors` bumps;
-  /// callers retry at their own policy, counting `stats->retries`.
-  Status ReadBlock(size_t block_id, void* out, size_t size,
-                   IoStats* stats) const;
+  /// Reads a full block, charging latency and bandwidth to `stats`, and
+  /// returns the block's block_bytes() bytes in the device arena, valid for
+  /// the simulator's lifetime. Returns IOError on an injected transient
+  /// failure — the failed attempt's latency is still charged (the device was
+  /// busy), and `stats->io_errors` bumps; callers retry at their own policy,
+  /// counting `stats->retries`.
+  Result<const uint8_t*> ReadBlock(size_t block_id, IoStats* stats) const;
 
   /// Total bytes the simulated device occupies.
   size_t DeviceBytes() const { return arena_.size(); }

@@ -32,10 +32,10 @@ TEST(SsdSimulatorTest, ReadBackWhatWasWritten) {
   std::vector<uint8_t> in(100);
   for (size_t i = 0; i < in.size(); ++i) in[i] = static_cast<uint8_t>(i);
   ssd.WriteBlock(1, in.data(), in.size());
-  std::vector<uint8_t> out(100, 0);
   IoStats stats;
-  ssd.ReadBlock(1, out.data(), out.size(), &stats);
-  EXPECT_EQ(in, out);
+  Result<const uint8_t*> out = ssd.ReadBlock(1, &stats);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(in, std::vector<uint8_t>(out.value(), out.value() + in.size()));
   EXPECT_EQ(stats.reads, 1u);
   EXPECT_EQ(stats.bytes, ssd.block_bytes());
 }
@@ -46,8 +46,7 @@ TEST(SsdSimulatorTest, LatencyAccountingIsDeterministic) {
   opt.bandwidth_bytes_per_s = 1e9;
   SsdSimulator ssd(8, 4096, opt);
   IoStats stats;
-  std::vector<uint8_t> buf(ssd.block_bytes());
-  for (int i = 0; i < 10; ++i) ssd.ReadBlock(0, buf.data(), buf.size(), &stats);
+  for (int i = 0; i < 10; ++i) ssd.ReadBlock(0, &stats);
   EXPECT_EQ(stats.reads, 10u);
   double expected = 10 * (1e-4 + ssd.block_bytes() / 1e9);
   EXPECT_NEAR(stats.simulated_seconds, expected, 1e-9);
@@ -170,13 +169,11 @@ TEST(AsyncIoContextTest, WaveChargesOverlappedTime) {
   const double c = 1e-4 + ssd.block_bytes() / 1e12;
 
   AsyncIoContext aio(ssd, opt.queue_depth);
-  std::vector<std::vector<uint8_t>> bufs(
-      8, std::vector<uint8_t>(ssd.block_bytes()));
   std::vector<IoCompletion> done;
   IoStats stats;
 
   // A wave of 8 uniform reads at QD 4 charges sum/QD, not the serial sum.
-  for (uint32_t i = 0; i < 8; ++i) aio.SubmitRead(i, bufs[i].data(), i);
+  for (uint32_t i = 0; i < 8; ++i) aio.SubmitRead(i, i);
   EXPECT_EQ(aio.PollCompletions(&done, &stats), 8u);
   EXPECT_EQ(done.size(), 8u);
   EXPECT_EQ(stats.reads, 8u);
@@ -186,20 +183,48 @@ TEST(AsyncIoContextTest, WaveChargesOverlappedTime) {
   // A wave of one read charges exactly its serial cost — the property that
   // keeps io_width=1 bit-identical to the synchronous path.
   IoStats one;
-  aio.SubmitRead(0, bufs[0].data(), 0);
+  aio.SubmitRead(0, 0);
   aio.PollCompletions(&done, &one);
   EXPECT_DOUBLE_EQ(one.simulated_seconds, c);
 }
 
+TEST(AsyncIoContextTest, CompletionHandsOutTheDeviceBlock) {
+  SsdSimulator ssd(2, 100, {});
+  std::vector<uint8_t> in(100);
+  for (size_t i = 0; i < in.size(); ++i) in[i] = static_cast<uint8_t>(3 * i);
+  ssd.WriteBlock(1, in.data(), in.size());
+  AsyncIoContext aio(ssd, 8);
+  std::vector<IoCompletion> done;
+  IoStats stats;
+  aio.SubmitRead(1, 7);
+  ASSERT_EQ(aio.PollCompletions(&done, &stats), 1u);
+  EXPECT_TRUE(done[0].status.ok());
+  EXPECT_EQ(done[0].block, 1u);
+  EXPECT_EQ(done[0].user_data, 7u);
+  ASSERT_NE(done[0].data, nullptr);
+  EXPECT_EQ(in, std::vector<uint8_t>(done[0].data, done[0].data + in.size()));
+
+  // A failed read names no bytes.
+  SsdOptions failing;
+  failing.transient_error_rate = 1.0;
+  SsdSimulator bad(2, 100, failing);
+  AsyncIoContext bad_aio(bad, 8);
+  bad_aio.SubmitRead(1, 7);
+  ASSERT_EQ(bad_aio.PollCompletions(&done, &stats), 1u);
+  EXPECT_EQ(done[0].status.code(), StatusCode::kIOError);
+  EXPECT_EQ(done[0].data, nullptr);
+  EXPECT_EQ(stats.reads, 1u);
+  EXPECT_EQ(stats.io_errors, 1u);
+}
+
 TEST(PrefetchCacheTest, FifoEvictionAndTake) {
   PrefetchCache cache(2);
-  cache.Insert(1, std::vector<uint8_t>{1});
-  cache.Insert(2, std::vector<uint8_t>{2});
-  cache.Insert(3, std::vector<uint8_t>{3});  // evicts 1 (FIFO)
+  const uint8_t blocks[3] = {1, 2, 3};
+  cache.Insert(1, &blocks[0]);
+  cache.Insert(2, &blocks[1]);
+  cache.Insert(3, &blocks[2]);  // evicts 1 (FIFO)
   EXPECT_FALSE(cache.Contains(1));
-  std::vector<uint8_t> buf;
-  EXPECT_TRUE(cache.Take(2, &buf));
-  EXPECT_EQ(buf, std::vector<uint8_t>{2});
+  EXPECT_EQ(cache.Take(2), &blocks[1]);
   EXPECT_FALSE(cache.Contains(2));  // Take removes
   EXPECT_TRUE(cache.Contains(3));
 }
@@ -331,6 +356,33 @@ TEST_F(DiskIndexTest, PrefetchAccountingStaysConsistentUnderFaults) {
   EXPECT_GT(total.latency_spikes, 0u);
   EXPECT_GT(total.prefetch_issued, 0u);
   EXPECT_GT(total.prefetch_hits, 0u);
+}
+
+TEST_F(DiskIndexTest, UnreadableBlockExhaustsRetriesAndDegrades) {
+  // Every read fails: the entry block is retried three times, then skipped.
+  // Nothing is ever fetched, so nothing is expanded past the entry,
+  // speculated on, or returned.
+  DiskIndexOptions dopt;
+  dopt.ssd.transient_error_rate = 1.0;
+  dopt.io_width = 8;
+  dopt.readahead = 4;
+  auto idx = DiskIndex::Build(base_, graph_, *pq_, dopt);
+  const DiskSearchResult res = idx->Search(queries_[0], 10, {32, 10, {}});
+  EXPECT_EQ(res.stats.hops, 1u);
+  EXPECT_EQ(res.io.reads, 0u);
+  EXPECT_EQ(res.io.io_errors, 4u);
+  EXPECT_EQ(res.io.retries, 3u);
+  EXPECT_EQ(res.io.prefetch_issued, 0u);
+  EXPECT_TRUE(res.degraded);
+  EXPECT_FALSE(res.stats.deadline_hit);
+  EXPECT_TRUE(res.results.empty());
+  // Four one-read waves, each charging the failed attempt's full cost, plus
+  // a 50 us backoff per retry.
+  const double block_bytes =
+      static_cast<double>(idx->DeviceBytes() / idx->num_vertices());
+  const double read = dopt.ssd.read_latency_seconds +
+                      block_bytes / dopt.ssd.bandwidth_bytes_per_s;
+  EXPECT_NEAR(res.io.simulated_seconds, 4 * read + 3 * 50e-6, 1e-12);
 }
 
 TEST_F(DiskIndexTest, DeadlineExpiresMidWaveReturnsDegradedPartial) {

@@ -117,6 +117,14 @@ TEST(FaultPlanTest, ParsesPointsAndSeed) {
   EXPECT_DOUBLE_EQ(plan.rate(fault::Point::kDiskLatencySpike), 0.0);
   EXPECT_EQ(plan.seed, 9u);
   EXPECT_TRUE(plan.any());
+
+  // Every digit of a 64-bit seed is kept: 2^53 + 1 and 2^64 - 1 are not
+  // rounded through a double.
+  ASSERT_TRUE(fault::ParsePlan("seed=9007199254740993", &plan, &err)) << err;
+  EXPECT_EQ(plan.seed, 9007199254740993u);
+  ASSERT_TRUE(fault::ParsePlan("seed=18446744073709551615", &plan, &err))
+      << err;
+  EXPECT_EQ(plan.seed, 18446744073709551615u);
 }
 
 TEST(FaultPlanTest, RejectsUnknownPointAndBadRate) {
@@ -125,6 +133,12 @@ TEST(FaultPlanTest, RejectsUnknownPointAndBadRate) {
   EXPECT_FALSE(fault::ParsePlan("warp_core_breach=1", &plan, &err));
   EXPECT_FALSE(fault::ParsePlan("disk_read_error=nope", &plan, &err));
   EXPECT_FALSE(fault::ParsePlan("disk_read_error=2.0", &plan, &err));
+  EXPECT_FALSE(fault::ParsePlan("disk_read_error=nan", &plan, &err));
+  // A seed is a decimal integer in [0, 2^64).
+  for (const char* seed : {"seed=-1", "seed=18446744073709551616", "seed=1.5",
+                           "seed=", "seed=+3", "seed=0x10"}) {
+    EXPECT_FALSE(fault::ParsePlan(seed, &plan, &err)) << seed;
+  }
 }
 
 TEST(FaultInjectorTest, DecisionsAreSeedDeterministic) {
@@ -183,11 +197,9 @@ TEST(SsdFaultTest, TransientErrorsSurfaceAsStatusAndCount) {
   disk::SsdOptions opt;
   opt.transient_error_rate = 1.0;
   disk::SsdSimulator ssd(4, 256, opt);
-  std::vector<uint8_t> buf(ssd.block_bytes());
   disk::IoStats stats;
   for (int i = 0; i < 5; ++i) {
-    Status s = ssd.ReadBlock(0, buf.data(), buf.size(), &stats);
-    EXPECT_FALSE(s.ok());
+    EXPECT_FALSE(ssd.ReadBlock(0, &stats).ok());
   }
   EXPECT_EQ(stats.io_errors, 5u);
   // A failed attempt still burned device time.
@@ -196,10 +208,8 @@ TEST(SsdFaultTest, TransientErrorsSurfaceAsStatusAndCount) {
 
 TEST(SsdFaultTest, OutOfRangeBlockIsStatusNotAbort) {
   disk::SsdSimulator ssd(2, 128, {});
-  std::vector<uint8_t> buf(ssd.block_bytes());
   disk::IoStats stats;
-  Status s = ssd.ReadBlock(99, buf.data(), buf.size(), &stats);
-  EXPECT_FALSE(s.ok());
+  EXPECT_FALSE(ssd.ReadBlock(99, &stats).ok());
 }
 
 TEST(SsdFaultTest, LatencySpikesMultiplyCost) {
@@ -209,11 +219,10 @@ TEST(SsdFaultTest, LatencySpikesMultiplyCost) {
   spiky_opt.latency_spike_rate = 1.0;
   spiky_opt.latency_spike_multiplier = 20.0;
   disk::SsdSimulator plain(4, 256, plain_opt), spiky(4, 256, spiky_opt);
-  std::vector<uint8_t> buf(plain.block_bytes());
   disk::IoStats ps, ss;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(plain.ReadBlock(0, buf.data(), buf.size(), &ps).ok());
-    ASSERT_TRUE(spiky.ReadBlock(0, buf.data(), buf.size(), &ss).ok());
+    ASSERT_TRUE(plain.ReadBlock(0, &ps).ok());
+    ASSERT_TRUE(spiky.ReadBlock(0, &ss).ok());
   }
   EXPECT_EQ(ss.latency_spikes, 10u);
   EXPECT_NEAR(ss.simulated_seconds, 20.0 * ps.simulated_seconds, 1e-9);

@@ -4,7 +4,8 @@
 // serve the same deployment for the same flags, IVF probes the index's saved
 // nprobe by default), the --sweep-nprobe curve (IVF only), train's single K
 // rule, the size and dimension rules between a base and its graph, queries
-// and model, and fvecs records of one dimension.
+// and model, fvecs records of one dimension, strict numeric flags, and
+// serve-bench's admission watermarks against its batch size.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -360,6 +361,44 @@ TEST_F(ToolTest, BuildGraphRejectsABaseNoLargerThanItsBound) {
     EXPECT_NE(r.err.find("--base has 20"), std::string::npos) << r.err;
   }
   EXPECT_EQ(Tool(build + " --type hnsw").status, 0);
+}
+
+// A size flag takes a non-negative decimal integer and a disk fault rate a
+// value in [0, 1]. Anything else is a flag error naming the flag, not a
+// wrapped size (-1 reads as 2^64 - 1), a silent 0 or a run in which every
+// read fails.
+TEST_F(ToolTest, NumericFlagsAreParsedStrictly) {
+  const std::string disk = "search" + Data() + " --graph " + Path("g.bin") +
+                           " --model " + Path("model.rpqq") + " --index disk";
+  for (const auto& [flag, value] :
+       {std::pair<std::string, std::string>{"--io-width", "-1"},
+        {"--io-width", "abc"},
+        {"--disk-error-rate", "2"},
+        {"--disk-spike-rate", "nan"}}) {
+    const ToolRun r = Tool(disk + " " + flag + " " + value);
+    EXPECT_EQ(r.status, 1) << flag << " " << value << "\n" << r.out << r.err;
+    EXPECT_NE(r.err.find("error: " + flag + " expects"), std::string::npos)
+        << r.err;
+    EXPECT_NE(r.err.find("\"" + value + "\""), std::string::npos) << r.err;
+  }
+}
+
+// The engine counts a batch of B as B in-flight queries, so a nonzero shed
+// or brownout watermark below B would refuse or brown out part of every
+// batch on an idle engine; one at B admits a whole batch.
+TEST_F(ToolTest, WatermarkBelowTheBatchIsAFlagError) {
+  const std::string serve = "serve-bench" + Data() + " --graph " +
+                            Path("g.bin") + " --model " + Path("model.rpqq") +
+                            " --threads 1 --total 20 --rate 2000 --batch 4";
+  for (const char* mark : {"--shed", "--brownout"}) {
+    const ToolRun r = Tool(serve + " " + mark + " 1");
+    EXPECT_EQ(r.status, 1) << mark << "\n" << r.out << r.err;
+    EXPECT_NE(r.err.find(std::string(mark) + " 1 is below --batch 4"),
+              std::string::npos)
+        << r.err;
+  }
+  const ToolRun r = Tool(serve + " --shed 4 --brownout 4");
+  EXPECT_EQ(r.status, 0) << r.out << r.err;
 }
 
 }  // namespace

@@ -128,6 +128,10 @@
 // it against --base, and search and serve-bench check --queries too. fvecs
 // records of mixed dimension are a read error.
 //
+// Numeric flags are parsed strictly: every size, count, seed and port is a
+// non-negative decimal integer, and --disk-error-rate / --disk-spike-rate
+// are rates in [0, 1]; any other value is a flag error naming the flag.
+//
 // serve-bench drives the concurrent serving subsystem (src/serve/): a
 // closed-loop load test with --threads clients (and, when --rate is given,
 // an open-loop run at that arrival QPS), reporting QPS and p50/p95/p99
@@ -143,9 +147,11 @@
 // Fault tolerance (see README "Fault tolerance"): --deadline-us gives every
 // query a latency budget (late queries return partial results flagged
 // degraded); --shed / --brownout set the open-loop engine's admission
-// watermarks; --faults installs a seeded process-wide injection plan (same
-// syntax as RPQ_FAULTS: "disk_read_error=0.01,shard_stall=0.05,seed=7")
-// before any index is built, so search honors it too; --disk-error-rate /
+// watermarks (a nonzero one below --batch is a flag error: the engine counts
+// a batch of B as B in-flight queries); --faults installs a seeded
+// process-wide injection plan (same syntax as RPQ_FAULTS:
+// "disk_read_error=0.01,shard_stall=0.05,seed=7") before any index is
+// built, so search honors it too; --disk-error-rate /
 // --disk-spike-rate set the SSD simulator's own transient-failure and
 // tail-spike rates (--index disk); --shard-timeout-us abandons shards that
 // miss the cap (partial merge, shards_lost), --hedge-us sends a hedge to the
@@ -160,10 +166,12 @@
 // graph/graph.h), so stages can run on different machines.
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "common/fault.h"
@@ -201,6 +209,12 @@ namespace {
 
 using rpq::Dataset;
 
+// A numeric flag value no command can use. The typed getters throw it and
+// main reports it as a flag error (exit 1), wherever the flag is read.
+struct FlagError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 struct Flags {
   std::map<std::string, std::string> kv;
 
@@ -208,9 +222,30 @@ struct Flags {
     auto it = kv.find(key);
     return it == kv.end() ? fallback : it->second.c_str();
   }
+  // Every size, count, seed and port flag: a non-negative decimal integer
+  // that fits size_t ("-1" must not wrap to 2^64 - 1, nor "abc" read as 0).
   size_t GetSize(const std::string& key, size_t fallback) const {
     const char* v = Get(key);
-    return v == nullptr ? fallback : std::strtoull(v, nullptr, 10);
+    if (v == nullptr) return fallback;
+    const char* end = v + std::strlen(v);
+    size_t n = 0;
+    const auto parsed = std::from_chars(v, end, n);
+    if (parsed.ec != std::errc() || parsed.ptr != end) {
+      throw FlagError("--" + key + " expects a non-negative integer, got \"" +
+                      v + "\"");
+    }
+    return n;
+  }
+  // The fault-rate flags: a probability in [0, 1]; NaN is not one.
+  double GetRate(const std::string& key) const {
+    const char* v = Get(key, "0");
+    char* end = nullptr;
+    const double r = std::strtod(v, &end);
+    if (end == v || *end != '\0' || !(r >= 0.0 && r <= 1.0)) {
+      throw FlagError("--" + key + " expects a rate in [0, 1], got \"" + v +
+                      "\"");
+    }
+    return r;
   }
   bool Has(const std::string& key) const { return kv.count(key) > 0; }
 };
@@ -736,10 +771,8 @@ rpq::Status MakeBackend(const Flags& flags, const Dataset& base, Backend* b) {
           " does not apply");
     }
     rpq::disk::DiskIndexOptions dopt;
-    dopt.ssd.transient_error_rate =
-        std::strtod(flags.Get("disk-error-rate", "0"), nullptr);
-    dopt.ssd.latency_spike_rate =
-        std::strtod(flags.Get("disk-spike-rate", "0"), nullptr);
+    dopt.ssd.transient_error_rate = flags.GetRate("disk-error-rate");
+    dopt.ssd.latency_spike_rate = flags.GetRate("disk-spike-rate");
     dopt.ssd.fault_seed = flags.GetSize("fault-seed", dopt.ssd.fault_seed);
     dopt.ssd.queue_depth = flags.GetSize("queue-depth", dopt.ssd.queue_depth);
     dopt.io_width = flags.GetSize("io-width", dopt.io_width);
@@ -995,15 +1028,32 @@ int CmdSearch(const Flags& flags) {
 }
 
 int CmdServeBench(const Flags& flags) {
+  rpq::serve::LoadgenOptions opt;
+  opt.batch = flags.GetSize("batch", 0);  // open-loop leg only
+  rpq::serve::EngineOptions eopt;
+  eopt.shed_watermark = flags.GetSize("shed", 0);
+  eopt.brownout_watermark = flags.GetSize("brownout", 0);
+  // The engine admits a batch of B as B in-flight queries, so a watermark
+  // below B would refuse or brown out part of every batch, idle or not.
+  for (const auto& [name, mark] :
+       {std::pair<const char*, size_t>{"shed", eopt.shed_watermark},
+        {"brownout", eopt.brownout_watermark}}) {
+    if (opt.batch > 1 && mark > 0 && mark < opt.batch) {
+      const std::string b = std::to_string(opt.batch);
+      return Fail(std::string("--") + name + " " + std::to_string(mark) +
+                  " is below --batch " + b + ": a batch counts as " + b +
+                  " in-flight queries, so part of every batch would pass "
+                  "the watermark (use 0 or at least " + b + ")");
+    }
+  }
+
   auto base = LoadBase(flags);
   if (!base.ok()) return Fail(base.status().ToString());
   auto queries = LoadQueriesFor(flags, base.value());
   if (!queries.ok()) return Fail(queries.status().ToString());
 
-  rpq::serve::LoadgenOptions opt;
   opt.threads = flags.GetSize("threads", 4);
   opt.total_queries = flags.GetSize("total", 0);
-  opt.batch = flags.GetSize("batch", 0);  // open-loop leg only
   const double rate = std::strtod(flags.Get("rate", "0"), nullptr);
   // --metrics-json turns the registry on for the whole run (index build
   // included) and writes the snapshot at the end.
@@ -1062,10 +1112,7 @@ int CmdServeBench(const Flags& flags) {
   rpq::serve::PrintReport(label, closed);
 
   if (rate > 0) {
-    rpq::serve::EngineOptions eopt;
     eopt.threads = opt.threads;
-    eopt.shed_watermark = flags.GetSize("shed", 0);
-    eopt.brownout_watermark = flags.GetSize("brownout", 0);
     rpq::serve::ServingEngine engine(service, eopt);
     rpq::serve::LoadgenOptions oopt = opt;
     oopt.arrival_qps = rate;
@@ -1442,7 +1489,9 @@ int Usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// A FlagError thrown while a command reads its flags is reported like the
+// flag errors commands return themselves.
+int main(int argc, char** argv) try {
   if (argc < 2) return Usage();
   std::string cmd = argv[1];
   Flags flags = ParseFlags(argc, argv, 2);
@@ -1469,4 +1518,6 @@ int main(int argc, char** argv) {
   }
   if (cmd == "metrics-validate") return CmdMetricsValidate(flags);
   return Usage();
+} catch (const FlagError& e) {
+  return Fail(e.what());
 }
