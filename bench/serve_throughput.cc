@@ -1,9 +1,8 @@
 // Query-level serving throughput: QPS over a (worker threads x shards x
-// batched-dispatch) grid on the in-memory ADC backend. Registers into the
-// micro-kernel harness (bench_micro_kernels / BENCH_micro.json via
-// bench/run_micro.sh) so the tracked numbers include end-to-end query
-// throughput, not just kernel wins; also built standalone as
-// bench_serve_throughput.
+// batched-dispatch) grid on the in-memory ADC backend. Compiled only into
+// the micro-kernel harness (bench_micro_kernels / BENCH_micro.json via
+// bench/run_micro.sh), so the tracked numbers include end-to-end query
+// throughput, not just kernel wins.
 //
 // Scaling expectation: on multi-core (CI-class) hardware the 4-thread rows
 // exceed the 1-thread rows by >2x; on a single-core host the grid still

@@ -7,8 +7,9 @@
 // Crash-safe persistence primitives live here too:
 //  * Crc32 / CrcWriter / CrcReader — every index/model format appends a
 //    CRC32 (zlib polynomial) of all preceding bytes, accumulated inline as
-//    the payload streams through, so a bit-flipped or torn file surfaces as
-//    a clean Status error instead of a silently wrong index.
+//    the payload streams through, and every loader checks it on every load
+//    (CrcReader::VerifyTrailer), so a bit-flipped, torn or extended file
+//    surfaces as a clean Status error instead of a silently wrong index.
 //  * AtomicFile — write-temp-then-rename: a crash mid-save leaves the
 //    previous file intact; the temp is removed on abandonment.
 #pragma once
@@ -93,7 +94,6 @@ class CrcWriter {
     return true;
   }
   bool WriteTrailer() { return WriteAll(f_, &crc_, sizeof(crc_)); }
-  uint32_t crc() const { return crc_; }
 
  private:
   std::FILE* f_;
@@ -111,13 +111,18 @@ class CrcReader {
     crc_ = Crc32Update(crc_, data, bytes);
     return true;
   }
-  /// True when a well-formed trailer follows and matches the accumulated
-  /// CRC. Reads (and consumes) exactly 4 bytes.
-  bool VerifyTrailer() {
+  /// Every loader's end-of-file rule: the 4-byte trailer matches the
+  /// accumulated CRC and the file ends right after it. A flipped bit, a
+  /// torn tail or a byte appended past the trailer is the same IOError.
+  Status VerifyTrailer(const std::string& path) {
     uint32_t stored = 0;
-    return ReadAll(f_, &stored, sizeof(stored)) && stored == crc_;
+    if (!ReadAll(f_, &stored, sizeof(stored)) || stored != crc_ ||
+        std::fgetc(f_) != EOF) {
+      return Status::IOError(path + ": checksum mismatch or data past the "
+                                    "trailer (corrupt or torn file)");
+    }
+    return Status::OK();
   }
-  uint32_t crc() const { return crc_; }
 
  private:
   std::FILE* f_;

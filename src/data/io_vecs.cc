@@ -49,40 +49,4 @@ Status WriteFvecs(const std::string& path, const Dataset& data) {
   return Status::OK();
 }
 
-Result<std::vector<std::vector<int32_t>>> ReadIvecs(const std::string& path,
-                                                    size_t max_records) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
-  std::vector<std::vector<int32_t>> out;
-  for (;;) {
-    int32_t dim = 0;
-    size_t got = std::fread(&dim, sizeof(dim), 1, f.get());
-    if (got == 0) break;
-    if (dim <= 0 || dim > (1 << 20)) {
-      return Status::IOError(path + ": bad record dimension " + std::to_string(dim));
-    }
-    std::vector<int32_t> row(static_cast<size_t>(dim));
-    if (std::fread(row.data(), sizeof(int32_t), row.size(), f.get()) != row.size()) {
-      return Status::IOError(path + ": truncated record");
-    }
-    out.push_back(std::move(row));
-    if (max_records != 0 && out.size() >= max_records) break;
-  }
-  return out;
-}
-
-Status WriteIvecs(const std::string& path,
-                  const std::vector<std::vector<int32_t>>& rows) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IOError("cannot open " + path + " for writing");
-  for (const auto& row : rows) {
-    int32_t dim = static_cast<int32_t>(row.size());
-    if (std::fwrite(&dim, sizeof(dim), 1, f.get()) != 1 ||
-        std::fwrite(row.data(), sizeof(int32_t), row.size(), f.get()) != row.size()) {
-      return Status::IOError(path + ": short write");
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace rpq::io

@@ -37,10 +37,10 @@ double ProximityGraph::ReachableFraction() const {
 
 namespace {
 
-// "RPQG" v1: magic | u32 version | u64 n | u32 entry | per-vertex adjacency
-// | CRC32 trailer. The historical format had no magic (header started at the
-// raw u64 count); Load still accepts those files by rewinding when the magic
-// is absent. Save always writes the guarded format, atomically.
+// "RPQG" v1 (little-endian): magic | u32 version | u64 n | u32 entry
+// | per vertex: u32 degree | u32 neighbor ids[degree]
+// | u32 CRC32 over every preceding byte, then end of file.
+// Save writes it atomically (temp + rename); Load reads only this layout.
 constexpr char kGraphMagic[4] = {'R', 'P', 'Q', 'G'};
 constexpr uint32_t kGraphVersion = 1;
 
@@ -72,19 +72,11 @@ Result<ProximityGraph> ProximityGraph::Load(const std::string& path) {
   io::CrcReader r(f.get());
   char magic[4];
   uint32_t version = 0;
-  bool checked = true;
-  if (!r.Read(magic, 4)) return Status::IOError(path + ": truncated header");
-  if (std::memcmp(magic, kGraphMagic, 4) == 0) {
-    if (!r.Read(&version, 4) || version != kGraphVersion) {
-      return Status::IOError(path + ": unsupported graph version");
-    }
-  } else {
-    // Legacy file: no magic, header starts at byte 0, no trailer to check.
-    if (std::fseek(f.get(), 0, SEEK_SET) != 0) {
-      return Status::IOError(path + ": seek failed");
-    }
-    r = io::CrcReader(f.get());
-    checked = false;
+  if (!r.Read(magic, 4) || std::memcmp(magic, kGraphMagic, 4) != 0) {
+    return Status::IOError(path + ": not an RPQ graph file");
+  }
+  if (!r.Read(&version, 4) || version != kGraphVersion) {
+    return Status::IOError(path + ": unsupported graph version");
   }
   uint64_t n = 0;
   uint32_t entry = 0;
@@ -125,10 +117,7 @@ Result<ProximityGraph> ProximityGraph::Load(const std::string& path) {
       }
     }
   }
-  if (checked && !r.VerifyTrailer()) {
-    return Status::IOError(path +
-                           ": checksum mismatch (corrupt or torn file)");
-  }
+  RPQ_RETURN_NOT_OK(r.VerifyTrailer(path));
   return g;
 }
 

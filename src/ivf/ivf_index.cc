@@ -22,18 +22,10 @@ namespace {
 using refine::CandidateBefore;
 
 using io::FilePtr;
-using io::ReadAll;
-using io::WriteAll;
 
 constexpr char kMagic[4] = {'R', 'P', 'Q', 'I'};
-// v2 adds one u8 residual flag to the header; v1 files (no flag, residual
-// regime did not exist) still load. v3 appends a CRC32 trailer over every
-// preceding byte and is what Save now writes (atomically, temp+rename);
-// v1/v2 files still load, un-checked. List payloads are identical across
-// versions — packed blocks and split cross constants are derived state.
+// The one RPQI layout (ivf_index.h); pre-CRC versions 1 and 2 are rejected.
 constexpr uint32_t kVersion = 3;
-constexpr uint32_t kMinVersion = 1;
-constexpr uint32_t kCrcVersion = 3;
 
 // q - centroid, the query every residual-regime table is built from.
 inline void ResidualQuery(const float* query, const float* centroid,
@@ -518,13 +510,11 @@ Result<std::unique_ptr<IvfIndex>> IvfIndex::Load(
   if (!r.Read(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
     return Status::IOError(path + ": not an RPQ IVF index file");
   }
-  if (!r.Read(&version, 4) || version < kMinVersion || version > kVersion) {
+  if (!r.Read(&version, 4) || version != kVersion) {
     return Status::IOError(path + ": unsupported version");
   }
-  const bool checked = version >= kCrcVersion;
   if (!r.Read(&dim, 4) || !r.Read(&nlist, 4) || !r.Read(&code_size, 4) ||
-      !r.Read(&store_vectors, 1) ||
-      (version >= 2 && !r.Read(&residual, 1)) ||
+      !r.Read(&store_vectors, 1) || !r.Read(&residual, 1) ||
       !r.Read(&default_nprobe, 4) || !r.Read(&num_codes, 8)) {
     return Status::IOError(path + ": truncated header");
   }
@@ -575,6 +565,15 @@ Result<std::unique_ptr<IvfIndex>> IvfIndex::Load(
         !r.Read(list.codes.data(), list.codes.size())) {
       return Status::IOError(path + ": truncated list data");
     }
+    // A split code's every byte is a valid 256-word index; a plain code's
+    // bytes must name one of the quantizer's K <= 16 centroids before they
+    // are packed into nibbles or used to index its codebook.
+    if (!index->split() &&
+        std::any_of(list.codes.begin(), list.codes.end(), [&](uint8_t c) {
+          return c >= quantizer.num_centroids();
+        })) {
+      return Status::IOError(path + ": code byte out of the quantizer's range");
+    }
     if (store_vectors != 0) {
       list.vectors.resize(count * dim);
       if (!r.Read(list.vectors.data(), list.vectors.size() * sizeof(float))) {
@@ -587,10 +586,7 @@ Result<std::unique_ptr<IvfIndex>> IvfIndex::Load(
   if (total != num_codes) {
     return Status::IOError(path + ": list totals disagree with header");
   }
-  if (checked && !r.VerifyTrailer()) {
-    return Status::IOError(path +
-                           ": checksum mismatch (corrupt or torn file)");
-  }
+  RPQ_RETURN_NOT_OK(r.VerifyTrailer(path));
   index->num_codes_ = num_codes;
   return index;
 }

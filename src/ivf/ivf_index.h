@@ -184,15 +184,16 @@ class IvfIndex {
   ///   | centroids f32[nlist*dim]
   ///   | per list: u64 count | u32 ids[count] | u8 codes[count*code_size]
   ///               | f32 vectors[count*dim] (iff store_vectors)
-  ///   | u32 CRC32 over every preceding byte
-  /// Versions 1 (no residual byte: residual = false) and 2 still load,
-  /// without the trailer check. The packed blocks and the split cross constants
-  /// are rebuilt from the codes at load time, so the on-disk list payload is
-  /// layout-independent.
+  ///   | u32 CRC32 over every preceding byte, then end of file
+  /// The packed blocks and the split cross constants are rebuilt from the
+  /// codes at load time, so the on-disk list payload is layout-independent.
   Status Save(const std::string& path) const;
 
   /// Loads an index written by Save; `quantizer` must match the saved shape
   /// (code_size, and quant::FastScanCapable) and is borrowed like in Build.
+  /// Only version 3 loads, and only with a matching trailer at end of file;
+  /// a plain (non-split) code byte at or past the quantizer's K is an
+  /// IOError too.
   static Result<std::unique_ptr<IvfIndex>> Load(
       const std::string& path, const quant::VectorQuantizer& quantizer);
 

@@ -12,29 +12,14 @@ namespace {
 
 constexpr char kMagic[4] = {'R', 'P', 'Q', 'Q'};
 constexpr char kCodesMagic[4] = {'R', 'P', 'Q', 'C'};
-// v1: plain models (header | product codebook | rotation).
-// v2: split models (quant/split.h) — the header grows a has_split byte and
-// the payload is the two 16-word level codebooks A then B; the product
-// codebook and cross table are deterministic functions of the levels
-// (MakeSplitQuantizer) and are rebuilt at load instead of stored.
-// v3/v4: v1/v2 payloads plus a CRC32 trailer over every preceding byte —
-// what Save now writes (through an atomic temp+rename, so a crash mid-save
-// cannot clobber the previous model). v1/v2 files still load, un-checked.
-constexpr uint32_t kVersion = 1;
-constexpr uint32_t kSplitVersion = 2;
-constexpr uint32_t kCrcVersion = 3;
-constexpr uint32_t kCrcSplitVersion = 4;
+// The two RPQQ layouts (serialize.h); pre-CRC versions 1 and 2 are rejected.
+constexpr uint32_t kModelVersion = 3;
+constexpr uint32_t kSplitModelVersion = 4;
 
 using io::AtomicFile;
 using io::CrcReader;
 using io::CrcWriter;
 using io::FilePtr;
-using io::ReadAll;
-using io::WriteAll;
-
-Status CorruptError(const std::string& path) {
-  return Status::IOError(path + ": checksum mismatch (corrupt or torn file)");
-}
 
 }  // namespace
 
@@ -47,7 +32,7 @@ Status SaveQuantizer(const PqQuantizer& q, const std::string& path) {
   AtomicFile file(path);
   if (!file) return Status::IOError("cannot open " + path + " for writing");
   CrcWriter w(file.get());
-  uint32_t version = split != nullptr ? kCrcSplitVersion : kCrcVersion;
+  uint32_t version = split != nullptr ? kSplitModelVersion : kModelVersion;
   uint32_t dim = static_cast<uint32_t>(q.dim());
   uint32_t m = static_cast<uint32_t>(q.num_chunks());
   uint32_t k = static_cast<uint32_t>(q.num_centroids());
@@ -90,11 +75,11 @@ Result<std::unique_ptr<PqQuantizer>> LoadQuantizer(const std::string& path) {
   if (!r.Read(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
     return Status::IOError(path + ": not an RPQ quantizer file");
   }
-  if (!r.Read(&version, 4) || version < kVersion || version > kCrcSplitVersion) {
+  if (!r.Read(&version, 4) ||
+      (version != kModelVersion && version != kSplitModelVersion)) {
     return Status::IOError(path + ": unsupported version");
   }
-  const bool checked = version >= kCrcVersion;
-  const bool is_split = version == kSplitVersion || version == kCrcSplitVersion;
+  const bool is_split = version == kSplitModelVersion;
   if (!r.Read(&dim, 4) || !r.Read(&m, 4) || !r.Read(&k, 4) ||
       !r.Read(&has_rot, 1)) {
     return Status::IOError(path + ": truncated header");
@@ -128,7 +113,7 @@ Result<std::unique_ptr<PqQuantizer>> LoadQuantizer(const std::string& path) {
         !r.Read(b.data(), b.num_floats() * sizeof(float))) {
       return Status::IOError(path + ": truncated split codebooks");
     }
-    if (checked && !r.VerifyTrailer()) return CorruptError(path);
+    RPQ_RETURN_NOT_OK(r.VerifyTrailer(path));
     return MakeSplitQuantizer(std::move(a), std::move(b));
   }
   Codebook book(m, k, dim / m);
@@ -143,7 +128,7 @@ Result<std::unique_ptr<PqQuantizer>> LoadQuantizer(const std::string& path) {
     }
     rotation = std::move(rot);
   }
-  if (checked && !r.VerifyTrailer()) return CorruptError(path);
+  RPQ_RETURN_NOT_OK(r.VerifyTrailer(path));
   return std::make_unique<PqQuantizer>(std::move(book), std::move(rotation));
 }
 
@@ -176,24 +161,17 @@ Result<std::vector<uint8_t>> LoadCodes(const std::string& path,
       !r.Read(&n, 8) || !r.Read(&cs, 4) || cs == 0) {
     return Status::IOError(path + ": bad codes header");
   }
-  // The RPQC header carries no version, so the CRC trailer's presence is
-  // detected by length: payload + 4 trailing bytes = checked file, payload
-  // alone = legacy. Anything else cannot be well-formed. The same length
-  // check bounds the n * cs allocation before trusting the header.
+  // Bound the n * cs allocation by what the file can hold before trusting
+  // the header.
   const long long bytes_left = io::BytesRemaining(f.get());
   if (bytes_left < 0 || n > static_cast<uint64_t>(bytes_left) / cs) {
     return Status::IOError(path + ": header sizes exceed file contents");
   }
-  const uint64_t payload = n * uint64_t{cs};
-  const bool checked = static_cast<uint64_t>(bytes_left) == payload + 4;
-  if (!checked && static_cast<uint64_t>(bytes_left) != payload) {
-    return Status::IOError(path + ": file length disagrees with header");
-  }
-  std::vector<uint8_t> codes(payload);
+  std::vector<uint8_t> codes(n * uint64_t{cs});
   if (!r.Read(codes.data(), codes.size())) {
     return Status::IOError(path + ": truncated codes");
   }
-  if (checked && !r.VerifyTrailer()) return CorruptError(path);
+  RPQ_RETURN_NOT_OK(r.VerifyTrailer(path));
   if (code_size != nullptr) *code_size = cs;
   return codes;
 }

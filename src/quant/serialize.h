@@ -3,9 +3,19 @@
 // what a production deployment does (train offline on a GPU box, serve the
 // frozen model on memory-constrained searchers).
 //
-// Format (little-endian):
+// Model format "RPQQ" (little-endian), one of two versions:
 //   magic "RPQQ" | u32 version | u32 dim | u32 M | u32 K | u8 has_rotation
-//   | codebook floats (M*K*(dim/M)) | rotation floats (dim*dim, if present)
+//   version 3 (plain): | codebook floats (M*K*(dim/M))
+//                      | rotation floats (dim*dim, iff has_rotation)
+//   version 4 (split, quant/split.h; K = 256, no rotation): | u8 has_split
+//                      | level codebooks A then B (M*16*(dim/M) floats each;
+//                        the product codebook and cross table are rebuilt)
+//   | u32 CRC32 over every preceding byte, then end of file.
+// Codes format "RPQC": magic | u64 n | u32 code_size | u8 codes[n*code_size]
+//   | u32 CRC32 trailer, then end of file.
+// Save writes through io::AtomicFile (temp + rename). Load reads exactly
+// these layouts and checks the trailer every time: anything else is an
+// IOError.
 #pragma once
 
 #include <string>

@@ -89,16 +89,6 @@ TEST(IoVecsTest, FvecsDimensionChangeIsIoError) {
   std::remove(path.c_str());
 }
 
-TEST(IoVecsTest, IvecsRoundTrip) {
-  std::vector<std::vector<int32_t>> rows{{1, 2, 3}, {4, 5}};
-  std::string path = ::testing::TempDir() + "/roundtrip.ivecs";
-  ASSERT_TRUE(io::WriteIvecs(path, rows).ok());
-  auto r = io::ReadIvecs(path);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), rows);
-  std::remove(path.c_str());
-}
-
 TEST(SyntheticTest, ProfilesHaveExpectedDims) {
   EXPECT_EQ(synthetic::MakeSiftLike(10).dim(), 128u);
   EXPECT_EQ(synthetic::MakeBigAnnLike(10).dim(), 128u);

@@ -1,16 +1,19 @@
 // Fault-tolerance tests: crash-safe index formats (CRC trailers, atomic
-// writes, legacy fallbacks), the seeded injection harness (determinism,
-// plan parsing), disk retry/deadline degradation, sharded stall / timeout /
-// hedge behavior, and engine admission control. Every failure here must be
-// a clean Status or a degraded result — never an abort.
+// writes, pre-CRC layouts rejected), the seeded injection harness
+// (determinism, plan parsing), disk retry/deadline degradation, sharded
+// stall / timeout / hedge behavior, and engine admission control. Every
+// failure here must be a clean Status or a degraded result — never an abort.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -52,6 +55,29 @@ long FileSize(const std::string& path) {
   long size = std::ftell(f);
   std::fclose(f);
   return size;
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::vector<uint8_t> bytes(static_cast<size_t>(FileSize(path)));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// Recomputes the CRC32 trailer (the last 4 bytes) over everything before
+// it, so the loader's own checks run past the checksum.
+void RewriteTrailer(std::vector<uint8_t>* bytes) {
+  const uint32_t crc = io::Crc32Update(0, bytes->data(), bytes->size() - 4);
+  std::memcpy(bytes->data() + bytes->size() - 4, &crc, 4);
 }
 
 // Flips one bit in the byte at `offset` (negative = from the end).
@@ -474,8 +500,8 @@ TEST(CrashSafeFormatTest, QuantizerTruncationIsCleanError) {
   std::remove(path.c_str());
 }
 
-TEST(CrashSafeFormatTest, LegacyV1QuantizerStillLoads) {
-  // Hand-written v1 file: pre-CRC header + zero codebook, no trailer.
+TEST(CrashSafeFormatTest, LegacyV1QuantizerIsRejected) {
+  // Hand-written v1 file: pre-CRC header + codebook, no trailer.
   const std::string path = TempPath("legacy.rpqq");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -491,8 +517,31 @@ TEST(CrashSafeFormatTest, LegacyV1QuantizerStillLoads) {
   std::fwrite(book.data(), sizeof(float), book.size(), f);
   std::fclose(f);
   auto loaded = quant::LoadQuantizer(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->dim(), 32u);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_NE(loaded.status().ToString().find("unsupported version"),
+            std::string::npos);
+  std::remove(path.c_str());
+}
+
+// Flipping bit 0 of a plain model's version word (3 -> 2) once named the
+// pre-CRC split layout: the first codebook byte read as has_split and the
+// rest as level codebooks, with no trailer check, so a one-bit error loaded
+// a garbage model. Only versions 3 and 4 load now.
+TEST(CrashSafeFormatTest, QuantizerVersionBitFlipIsRejected) {
+  quant::Codebook book(4, 256, 8);
+  std::fill(book.data(), book.data() + book.num_floats(), 0.3f);
+  const quant::PqQuantizer pq(std::move(book), std::nullopt);
+  const std::string path = TempPath("version_flip.rpqq");
+  ASSERT_TRUE(quant::SaveQuantizer(pq, path).ok());
+  ASSERT_TRUE(quant::LoadQuantizer(path).ok());
+  std::vector<uint8_t> bytes = ReadBytes(path);
+  ASSERT_EQ(bytes[4], 3);
+  bytes[4] ^= 1;
+  WriteBytes(path, bytes);
+  auto loaded = quant::LoadQuantizer(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
   std::remove(path.c_str());
 }
 
@@ -508,7 +557,7 @@ TEST(CrashSafeFormatTest, CodesBitFlipAndLegacyLength) {
   ASSERT_FALSE(corrupt.ok());
   EXPECT_NE(corrupt.status().ToString().find("checksum"), std::string::npos);
 
-  // Legacy layout: same header + payload but no trailer — accepted.
+  // Pre-CRC layout: same header + payload but no trailer — rejected.
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const uint64_t n = codes.size() / 4;
@@ -519,8 +568,8 @@ TEST(CrashSafeFormatTest, CodesBitFlipAndLegacyLength) {
   std::fwrite(codes.data(), 1, codes.size(), f);
   std::fclose(f);
   auto legacy = quant::LoadCodes(path, &cs);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy.value(), codes);
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_EQ(legacy.status().code(), StatusCode::kIOError);
   std::remove(path.c_str());
 }
 
@@ -545,7 +594,8 @@ TEST(CrashSafeFormatTest, GraphRoundTripFlipAndLegacy) {
   ASSERT_EQ(truncate(path.c_str(), FileSize(path) - 3), 0);
   EXPECT_FALSE(graph::ProximityGraph::Load(path).ok());
 
-  // Legacy layout (no magic, no trailer): header starts at the raw count.
+  // Pre-CRC layout (no magic, no trailer): header starts at the raw count.
+  // It is not an RPQ graph file.
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const uint64_t n = 2;
@@ -559,9 +609,8 @@ TEST(CrashSafeFormatTest, GraphRoundTripFlipAndLegacy) {
   }
   std::fclose(f);
   auto legacy = graph::ProximityGraph::Load(path);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy.value().num_vertices(), 2u);
-  EXPECT_EQ(legacy.value().entry_point(), 1u);
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_EQ(legacy.status().code(), StatusCode::kIOError);
   std::remove(path.c_str());
 }
 
@@ -578,6 +627,104 @@ TEST(CrashSafeFormatTest, IvfBitFlipIsCleanError) {
   FlipBit(path, FileSize(path) / 2);
   auto corrupt = ivf::IvfIndex::Load(path, *pq);
   EXPECT_FALSE(corrupt.ok());
+  std::remove(path.c_str());
+}
+
+// An RPQI v3 file relabelled v2 (the pre-CRC layout, which a loader once
+// read without checking the trailer) is an unsupported version.
+TEST(CrashSafeFormatTest, IvfRelabelledV2IsRejected) {
+  Dataset base = synthetic::MakeGmm(500, {}, 33);
+  auto pq = SmallModel(base);
+  ivf::IvfOptions opt;
+  opt.nlist = 8;
+  opt.kmeans_iters = 4;
+  auto index = ivf::IvfIndex::Build(base, *pq, opt);
+  const std::string path = TempPath("relabelled.rpqi");
+  ASSERT_TRUE(index->Save(path).ok());
+  std::vector<uint8_t> bytes = ReadBytes(path);
+  const uint32_t v2 = 2;
+  std::memcpy(bytes.data() + 4, &v2, 4);
+  WriteBytes(path, bytes);
+  auto loaded = ivf::IvfIndex::Load(path, *pq);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  std::remove(path.c_str());
+}
+
+// The trailer ends every format: one byte appended after it is the same
+// IOError as a flipped bit, for the model, codes, graph and IVF loaders.
+TEST(CrashSafeFormatTest, ByteAfterTheTrailerIsRejectedInEveryFormat) {
+  Dataset base = synthetic::MakeGmm(500, {}, 33);
+  auto pq = SmallModel(base);
+  ivf::IvfOptions opt;
+  opt.nlist = 8;
+  opt.kmeans_iters = 4;
+  auto index = ivf::IvfIndex::Build(base, *pq, opt);
+  graph::ProximityGraph g(3);
+  g.Neighbors(0) = {1};
+  g.Neighbors(1) = {2};
+  g.Neighbors(2) = {0};
+  const std::string model_path = TempPath("tail.rpqq");
+  const std::string codes_path = TempPath("tail.rpqc");
+  const std::string graph_path = TempPath("tail.rpqg");
+  const std::string ivf_path = TempPath("tail.rpqi");
+  ASSERT_TRUE(quant::SaveQuantizer(*pq, model_path).ok());
+  ASSERT_TRUE(
+      quant::SaveCodes(pq->EncodeDataset(base), pq->code_size(), codes_path)
+          .ok());
+  ASSERT_TRUE(g.Save(graph_path).ok());
+  ASSERT_TRUE(index->Save(ivf_path).ok());
+  size_t cs = 0;
+  const std::vector<std::pair<std::string, std::function<Status()>>> formats =
+      {{model_path, [&] { return quant::LoadQuantizer(model_path).status(); }},
+       {codes_path, [&] { return quant::LoadCodes(codes_path, &cs).status(); }},
+       {graph_path,
+        [&] { return graph::ProximityGraph::Load(graph_path).status(); }},
+       {ivf_path, [&] { return ivf::IvfIndex::Load(ivf_path, *pq).status(); }}};
+  for (const auto& [path, load] : formats) {
+    ASSERT_TRUE(load().ok()) << path;
+    std::vector<uint8_t> bytes = ReadBytes(path);
+    bytes.push_back(0);
+    WriteBytes(path, bytes);
+    const Status st = load();
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << path << " " << st.ToString();
+    EXPECT_NE(st.ToString().find("checksum"), std::string::npos) << path;
+    std::remove(path.c_str());
+  }
+}
+
+// A CRC-valid RPQI file whose plain 4-bit code names a centroid past K is an
+// IOError, not an abort in the FastScan packer (which takes nibbles only).
+TEST(CrashSafeFormatTest, IvfCodeOutOfTheQuantizerRangeIsIOError) {
+  Dataset base = synthetic::MakeGmm(500, {}, 33);
+  auto pq = SmallModel(base);
+  ivf::IvfOptions opt;
+  opt.nlist = 8;
+  opt.kmeans_iters = 4;
+  auto index = ivf::IvfIndex::Build(base, *pq, opt);
+  const std::string path = TempPath("bad_code.rpqi");
+  ASSERT_TRUE(index->Save(path).ok());
+  std::vector<uint8_t> bytes = ReadBytes(path);
+  // Header: magic, version, dim, nlist, code_size, store_vectors, residual,
+  // default_nprobe, num_codes; then the centroids and the lists.
+  uint32_t dim = 0, nlist = 0, code_size = 0;
+  std::memcpy(&dim, bytes.data() + 8, 4);
+  std::memcpy(&nlist, bytes.data() + 12, 4);
+  std::memcpy(&code_size, bytes.data() + 16, 4);
+  ASSERT_EQ(bytes[20], 0);  // no stored vectors
+  size_t pos = 34 + size_t{nlist} * dim * sizeof(float);
+  uint64_t count = 0;
+  for (;;) {  // the first nonempty list's first code byte
+    std::memcpy(&count, bytes.data() + pos, 8);
+    if (count > 0) break;
+    pos += 8;
+  }
+  bytes[pos + 8 + count * sizeof(uint32_t)] = 0xFF;
+  RewriteTrailer(&bytes);
+  WriteBytes(path, bytes);
+  auto loaded = ivf::IvfIndex::Load(path, *pq);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
   std::remove(path.c_str());
 }
 

@@ -4,8 +4,9 @@
 // serve the same deployment for the same flags, IVF probes the index's saved
 // nprobe by default), the --sweep-nprobe curve (IVF only), train's single K
 // rule, the size and dimension rules between a base and its graph, queries
-// and model, fvecs records of one dimension, strict numeric flags, and
-// serve-bench's admission watermarks against its batch size.
+// and model, fvecs records of one dimension, strict numeric flags (sizes,
+// size lists, rates, decimals and the stats port), and serve-bench's
+// admission watermarks against its batch size.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -363,24 +364,51 @@ TEST_F(ToolTest, BuildGraphRejectsABaseNoLargerThanItsBound) {
   EXPECT_EQ(Tool(build + " --type hnsw").status, 0);
 }
 
-// A size flag takes a non-negative decimal integer and a disk fault rate a
-// value in [0, 1]. Anything else is a flag error naming the flag, not a
-// wrapped size (-1 reads as 2^64 - 1), a silent 0 or a run in which every
-// read fails.
+// A size flag takes a non-negative decimal integer (each item of a size
+// list too, and a port at most 65535), a disk fault rate a value in [0, 1],
+// and every other decimal flag a finite number in its flag's range.
+// Anything else is a flag error naming the flag, not a wrapped size (-1
+// reads as 2^64 - 1, so a sweep row at beam 2^64 - 1), a silent 0 (a rate
+// that skips the open loop, a gate at 0% tolerance), a wrapped port or a
+// run in which every read fails.
 TEST_F(ToolTest, NumericFlagsAreParsedStrictly) {
   const std::string disk = "search" + Data() + " --graph " + Path("g.bin") +
                            " --model " + Path("model.rpqq") + " --index disk";
-  for (const auto& [flag, value] :
-       {std::pair<std::string, std::string>{"--io-width", "-1"},
-        {"--io-width", "abc"},
-        {"--disk-error-rate", "2"},
-        {"--disk-spike-rate", "nan"}}) {
-    const ToolRun r = Tool(disk + " " + flag + " " + value);
-    EXPECT_EQ(r.status, 1) << flag << " " << value << "\n" << r.out << r.err;
-    EXPECT_NE(r.err.find("error: " + flag + " expects"), std::string::npos)
+  const std::string ivf =
+      Data() + " --model " + Path("model.rpqq") + " --index ivf --nlist 16";
+  const std::string serve = "serve-bench" + ivf + " --threads 1 --total 20";
+  const std::string json = Path("bench.json");
+  std::ofstream(json) << "{\"qps\": 100.0}\n";
+  const std::string diff = "bench-diff " + json + " " + json;
+  struct Case {
+    std::string command, flag, value;
+  };
+  for (const Case& c : {
+           Case{disk, "--io-width", "-1"},
+           Case{disk, "--io-width", "abc"},
+           Case{disk, "--disk-error-rate", "2"},
+           Case{disk, "--disk-spike-rate", "nan"},
+           Case{"search" + ivf, "--sweep-nprobe", "1,-1"},
+           Case{serve, "--rate", "abc"},
+           Case{serve, "--rate", "-1"},
+           Case{serve, "--window-secs", "0"},
+           Case{serve, "--stats-port", "70000"},
+           Case{diff, "--max-regress", "abc"},
+           Case{diff, "--max-recall-regress", "nan"},
+       }) {
+    const ToolRun r = Tool(c.command + " " + c.flag + " " + c.value);
+    EXPECT_EQ(r.status, 1) << c.flag << " " << c.value << "\n"
+                           << r.out << r.err;
+    EXPECT_NE(r.err.find("error: " + c.flag + " expects"), std::string::npos)
         << r.err;
-    EXPECT_NE(r.err.find("\"" + value + "\""), std::string::npos) << r.err;
+    // A list names the offending item.
+    const std::string item = c.value.substr(c.value.rfind(',') + 1);
+    EXPECT_NE(r.err.find("\"" + item + "\""), std::string::npos) << r.err;
   }
+  const ToolRun ok = Tool(diff + " --max-regress 0 --max-recall-regress 2.5");
+  EXPECT_EQ(ok.status, 0) << ok.out << ok.err;
+  EXPECT_NE(ok.out.find("tolerance +0.0% / recall -2.5%"), std::string::npos)
+      << ok.out;
 }
 
 // The engine counts a batch of B as B in-flight queries, so a nonzero shed

@@ -129,8 +129,11 @@
 // records of mixed dimension are a read error.
 //
 // Numeric flags are parsed strictly: every size, count, seed and port is a
-// non-negative decimal integer, and --disk-error-rate / --disk-spike-rate
-// are rates in [0, 1]; any other value is a flag error naming the flag.
+// non-negative decimal integer (each item of --sweep-nprobe too, and
+// --stats-port at most 65535), and every decimal flag is a finite number:
+// --disk-error-rate / --disk-spike-rate in [0, 1], --rate, --max-regress
+// and --max-recall-regress >= 0, --window-secs and --interval-secs > 0.
+// Any other value is a flag error naming the flag.
 //
 // serve-bench drives the concurrent serving subsystem (src/serve/): a
 // closed-loop load test with --threads clients (and, when --rate is given,
@@ -167,6 +170,8 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -215,6 +220,25 @@ struct FlagError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// Every size, count, seed and port value: a non-negative decimal integer
+// that fits size_t and `max` ("-1" must not wrap to 2^64 - 1, nor "abc"
+// read as 0). `key` names the flag in the error.
+size_t ParseSize(const std::string& key, const std::string& v,
+                 size_t max = SIZE_MAX) {
+  const char* end = v.data() + v.size();
+  size_t n = 0;
+  const auto parsed = std::from_chars(v.data(), end, n);
+  if (parsed.ec != std::errc() || parsed.ptr != end || n > max) {
+    throw FlagError("--" + key + " expects a non-negative integer" +
+                    (max < SIZE_MAX ? " <= " + std::to_string(max) : "") +
+                    ", got \"" + v + "\"");
+  }
+  return n;
+}
+
+// What a decimal flag's meaning allows, beyond being a finite number.
+enum class Range { kUnit, kNonNegative, kPositive };
+
 struct Flags {
   std::map<std::string, std::string> kv;
 
@@ -222,30 +246,32 @@ struct Flags {
     auto it = kv.find(key);
     return it == kv.end() ? fallback : it->second.c_str();
   }
-  // Every size, count, seed and port flag: a non-negative decimal integer
-  // that fits size_t ("-1" must not wrap to 2^64 - 1, nor "abc" read as 0).
-  size_t GetSize(const std::string& key, size_t fallback) const {
+  size_t GetSize(const std::string& key, size_t fallback,
+                 size_t max = SIZE_MAX) const {
+    const char* v = Get(key);
+    return v == nullptr ? fallback : ParseSize(key, v, max);
+  }
+  // Every decimal flag (rates, tolerances, seconds): a finite decimal number
+  // in `range`; "abc", NaN and infinity are flag errors, not 0 or a run
+  // that never ends.
+  double GetDouble(const std::string& key, double fallback,
+                   Range range) const {
     const char* v = Get(key);
     if (v == nullptr) return fallback;
     const char* end = v + std::strlen(v);
-    size_t n = 0;
-    const auto parsed = std::from_chars(v, end, n);
-    if (parsed.ec != std::errc() || parsed.ptr != end) {
-      throw FlagError("--" + key + " expects a non-negative integer, got \"" +
-                      v + "\"");
+    double x = 0;
+    const auto parsed = std::from_chars(v, end, x);
+    const bool in_range = range == Range::kPositive
+                              ? x > 0
+                              : x >= 0 && (range != Range::kUnit || x <= 1);
+    if (parsed.ec != std::errc() || parsed.ptr != end || !std::isfinite(x) ||
+        !in_range) {
+      static constexpr const char* kWhat[] = {
+          "a rate in [0, 1]", "a finite number >= 0", "a finite number > 0"};
+      throw FlagError("--" + key + " expects " +
+                      kWhat[static_cast<int>(range)] + ", got \"" + v + "\"");
     }
-    return n;
-  }
-  // The fault-rate flags: a probability in [0, 1]; NaN is not one.
-  double GetRate(const std::string& key) const {
-    const char* v = Get(key, "0");
-    char* end = nullptr;
-    const double r = std::strtod(v, &end);
-    if (end == v || *end != '\0' || !(r >= 0.0 && r <= 1.0)) {
-      throw FlagError("--" + key + " expects a rate in [0, 1], got \"" + v +
-                      "\"");
-    }
-    return r;
+    return x;
   }
   bool Has(const std::string& key) const { return kv.count(key) > 0; }
 };
@@ -771,8 +797,10 @@ rpq::Status MakeBackend(const Flags& flags, const Dataset& base, Backend* b) {
           " does not apply");
     }
     rpq::disk::DiskIndexOptions dopt;
-    dopt.ssd.transient_error_rate = flags.GetRate("disk-error-rate");
-    dopt.ssd.latency_spike_rate = flags.GetRate("disk-spike-rate");
+    dopt.ssd.transient_error_rate =
+        flags.GetDouble("disk-error-rate", 0, Range::kUnit);
+    dopt.ssd.latency_spike_rate =
+        flags.GetDouble("disk-spike-rate", 0, Range::kUnit);
     dopt.ssd.fault_seed = flags.GetSize("fault-seed", dopt.ssd.fault_seed);
     dopt.ssd.queue_depth = flags.GetSize("queue-depth", dopt.ssd.queue_depth);
     dopt.io_width = flags.GetSize("io-width", dopt.io_width);
@@ -828,14 +856,11 @@ std::vector<std::string> ParseStringList(const char* s) {
   return out;
 }
 
-std::vector<size_t> ParseSizeList(const char* s) {
+// A comma-separated list of sizes, each under ParseSize's rule.
+std::vector<size_t> ParseSizeList(const std::string& key, const char* s) {
   std::vector<size_t> out;
-  while (s != nullptr && *s != '\0') {
-    char* end = nullptr;
-    size_t v = std::strtoull(s, &end, 10);
-    if (end == s) break;
-    out.push_back(v);
-    s = *end == ',' ? end + 1 : end;
+  for (const std::string& item : ParseStringList(s)) {
+    out.push_back(ParseSize(key, item));
   }
   return out;
 }
@@ -965,7 +990,7 @@ int CmdSearch(const Flags& flags) {
 
   // --sweep-nprobe prints the IVF recall/QPS curve through the same service.
   if (const char* sweep = flags.Get("sweep-nprobe")) {
-    auto nprobes = ParseSizeList(sweep);
+    auto nprobes = ParseSizeList("sweep-nprobe", sweep);
     if (nprobes.empty()) return Fail("--sweep-nprobe expects n1,n2,...");
     auto curve = rpq::eval::SweepBeamWidths(*backend.service, backend.spec,
                                             queries.value(), gt, nprobes);
@@ -1054,7 +1079,7 @@ int CmdServeBench(const Flags& flags) {
 
   opt.threads = flags.GetSize("threads", 4);
   opt.total_queries = flags.GetSize("total", 0);
-  const double rate = std::strtod(flags.Get("rate", "0"), nullptr);
+  const double rate = flags.GetDouble("rate", 0, Range::kNonNegative);
   // --metrics-json turns the registry on for the whole run (index build
   // included) and writes the snapshot at the end.
   const char* metrics_json = flags.Get("metrics-json");
@@ -1077,8 +1102,8 @@ int CmdServeBench(const Flags& flags) {
   }
   rpq::obs::HttpExporter exporter([&flags] {
     rpq::obs::HttpExporterOptions hopt;
-    hopt.port = static_cast<uint16_t>(flags.GetSize("stats-port", 0));
-    hopt.window_seconds = std::strtod(flags.Get("window-secs", "5"), nullptr);
+    hopt.port = static_cast<uint16_t>(flags.GetSize("stats-port", 0, 65535));
+    hopt.window_seconds = flags.GetDouble("window-secs", 5, Range::kPositive);
     return hopt;
   }());
   if (stats_server) {
@@ -1265,7 +1290,7 @@ int CmdMetricsValidate(const Flags& flags) {
       return Fail(std::string(path) + ": " + err);
     }
     const double interval =
-        std::strtod(flags.Get("interval-secs", "1"), nullptr);
+        flags.GetDouble("interval-secs", 1, Range::kPositive);
     const rpq::obs::WindowedView view =
         rpq::obs::DiffSnapshots(older, newer, interval);
     std::printf("diff %s -> %s over %.3gs:\n", older_path, path, interval);
@@ -1457,11 +1482,9 @@ int CmdBenchDiff(const std::vector<std::string>& positional,
   if (!ParseJsonFile(positional[1].c_str(), &new_root, &err)) return Fail(err);
 
   BenchDiffReport report;
-  report.max_regress = std::strtod(flags.Get("max-regress", "10"), nullptr);
-  report.max_recall_regress = std::strtod(
-      flags.Get("max-recall-regress",
-                flags.Get("max-regress", "10")),
-      nullptr);
+  report.max_regress = flags.GetDouble("max-regress", 10, Range::kNonNegative);
+  report.max_recall_regress = flags.GetDouble(
+      "max-recall-regress", report.max_regress, Range::kNonNegative);
   DiffBenchValues("", "", old_root, new_root, &report);
 
   std::printf("bench-diff %s -> %s: %zu numeric leaves compared, %zu gated "
